@@ -19,6 +19,7 @@ finitely many vertex slacks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .complex2d import Complex2D, Face2D
 from .exactnum import QNum, format_qnum
@@ -27,6 +28,9 @@ from .pwl import AT, MINUS, PLUS, PwlFunction
 ADDITIVE = "additive"
 LIMIT_ADDITIVE = "limit_additive"
 NON_ADDITIVE = "non_additive"
+
+# the 27 side triples, so that slack records share them
+_SIDE_TRIPLES = {t: t for t in product((MINUS, AT, PLUS), repeat=3)}
 
 
 def get_complex(fn: PwlFunction) -> Complex2D:
@@ -57,7 +61,7 @@ def vertex_sides(face: Face2D, vertex) -> tuple[int, int, int]:
             out.append(MINUS)
         else:
             out.append(AT)
-    return tuple(out)
+    return _SIDE_TRIPLES[tuple(out)]
 
 
 def slack_at(fn: PwlFunction, face: Face2D, vertex) -> QNum:
@@ -71,7 +75,7 @@ def slack_at(fn: PwlFunction, face: Face2D, vertex) -> QNum:
     return fn.limit(u, s1) + fn.limit(v, s2) - fn.limit(s, s3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlackRecord:
     face: Face2D
     vertex: tuple[QNum, QNum]
@@ -79,7 +83,7 @@ class SlackRecord:
     sides: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceClassification:
     face: Face2D
     slacks: tuple[SlackRecord, ...]

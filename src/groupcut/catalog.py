@@ -50,14 +50,20 @@ def _rows(data) -> list[BreakpointRow]:
     return [BreakpointRow(*(parse_qnum(c) for c in row)) for row in data]
 
 
+def _check(ok: bool, what: str) -> None:
+    """A self-check of the built-in data, kept under ``python -O``."""
+    if not ok:
+        raise ArithmeticError(what)
+
+
 @lru_cache(maxsize=None)
 def psi_function() -> PwlFunction:
     fn = PwlFunction(_rows(_PSI_ROWS), Fraction(1, 2), name="psi")
     # shape checks the construction is known by
-    assert fn.eval(Fraction(1, 8)) == Fraction(1, 4)
-    assert fn.slopes[0] == 6
+    _check(fn.eval(Fraction(1, 8)) == Fraction(1, 4), "psi(1/8) is not 1/4")
+    _check(fn.slopes[0] == 6, "psi does not start with slope 6")
     from .additivity import minimality_test
-    assert minimality_test(fn), "psi data failed the minimality check"
+    _check(bool(minimality_test(fn)), "psi data failed the minimality check")
     return fn
 
 
@@ -65,12 +71,12 @@ def psi_function() -> PwlFunction:
 def psi_prime_function() -> PwlFunction:
     fn = PwlFunction(_rows(_PSI_PRIME_ROWS), Fraction(1, 2),
                      name="psi_prime")
-    assert fn.eval(Fraction(1, 4)) == Fraction(1, 2)  # 2x on [0,1/2]
+    _check(fn.eval(Fraction(1, 4)) == Fraction(1, 2), "not 2x on [0,1/2]")
     psi = psi_function()
     x = Fraction(3, 4)
-    assert fn.eval(x) == psi.eval(x)
+    _check(fn.eval(x) == psi.eval(x), "psi_prime(3/4) is not psi(3/4)")
     from .additivity import minimality_test
-    assert minimality_test(fn), "psi_prime data failed the minimality check"
+    _check(bool(minimality_test(fn)), "psi_prime failed the minimality check")
     return fn
 
 
@@ -224,8 +230,8 @@ def kzh_params() -> KzhParams:
         c3=QNum(-5),
         s=QNum(Fraction(19, 23998)),
     )
-    assert p.a2 == QNum(Fraction(14199, 64600))
-    assert p.t2 == QNum(Fraction(1925, 64600))
+    _check(p.a2 == QNum(Fraction(14199, 64600)), "a2 is not 14199/64600")
+    _check(p.t2 == QNum(Fraction(1925, 64600)), "t2 is not 1925/64600")
     return p
 
 
@@ -239,22 +245,21 @@ def kzh_function() -> PwlFunction:
     # cross-validate the slope pattern
     cmap = {"c1": p.c1, "c2": p.c2, "c3": p.c3}
     for i, tag in enumerate(_KZH_SLOPE_PATTERN):
-        if fn.slopes[i] != cmap[tag]:
-            raise AssertionError(
-                f"piece {i}: slope {fn.slopes[i]} does not match {tag}")
+        _check(fn.slopes[i] == cmap[tag],
+               f"piece {i}: slope {fn.slopes[i]} does not match {tag}")
 
     # cross-validate the symmetry pairing of rows (x_i + x_{37-i} = f)
     for i in range(38):
         j = 37 - i
-        assert rows[i].x + rows[j].x == p.f, f"rows {i},{j}"
-        assert rows[i].value + rows[j].value == 1, f"rows {i},{j}"
-    assert rows[38].x + rows[39].x == p.f + 1
-    assert rows[38].value + rows[39].value == 1
+        _check(rows[i].x + rows[j].x == p.f, f"rows {i},{j}")
+        _check(rows[i].value + rows[j].value == 1, f"rows {i},{j}")
+    _check(rows[38].x + rows[39].x == p.f + 1, "rows 38,39")
+    _check(rows[38].value + rows[39].value == 1, "rows 38,39")
 
     # the derived constant: s = pi(x39^-) + pi(1 + l - x39) - pi(l)
     x39 = rows[39].x
     s = rows[39].left + fn.eval(QNum(1) + p.l - x39) - fn.eval(p.l)
-    assert s == p.s, f"derived s = {s}"
+    _check(s == p.s, f"derived s = {s}")
     return fn
 
 
@@ -321,7 +326,8 @@ def coset_classify(x: QNum, p: KzhParams | None = None,
             return CosetProfile(red, FIXED_C)
     mirror = p.l + p.u - y
     red_m = reduced_pair(mirror, p)
-    assert red != red_m  # distinct unless the coset is reflection-fixed
+    # distinct unless the coset is reflection-fixed
+    _check(red != red_m, f"{x} has a reflection-fixed coset outside C")
     cls = PLUS_CPLUS if red < red_m else MINUS
     return CosetProfile(red, cls)
 

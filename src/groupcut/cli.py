@@ -20,10 +20,8 @@ from .diagram import render_diagram, sidecar_to_json
 from .exactnum import parse_qnum
 from .perturbation import (lipschitz_epsilon, scaling_epsilon,
                            verify_effective)
-from .pwl import PwlFunction, load as load_pwl_file, to_text
+from .pwl import SIDE_NAMES, PwlFunction, load as load_pwl_file, to_text
 from . import verify as verify_mod
-
-_SIDES = {"minus": -1, "at": 0, "plus": 1}
 
 
 class _InputError(Exception):
@@ -70,9 +68,9 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_eval(args) -> int:
     fn = _load(args.func)
     x = _parse_x(args.x)
-    side = _SIDES[args.side]
+    side = SIDE_NAMES[args.side]
     if side == 0:
-        print(fn.eval(x) if isinstance(fn, PwlFunction) else fn.eval(x))
+        print(fn.eval(x))
         return 0
     if not isinstance(fn, PwlFunction):
         raise _InputError("one-sided limits need a piecewise linear "
@@ -83,7 +81,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_limit(args) -> int:
     fn = _load_pwl(args.func)
-    print(fn.limit(_parse_x(args.x), _SIDES[args.side]))
+    print(fn.limit(_parse_x(args.x), SIDE_NAMES[args.side]))
     return 0
 
 
@@ -224,13 +222,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a function at a point")
     p.add_argument("func")
     p.add_argument("x")
-    p.add_argument("--side", choices=sorted(_SIDES), default="at")
+    p.add_argument("--side", choices=sorted(SIDE_NAMES), default="at")
     p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("limit", help="one-sided limit at a point")
     p.add_argument("func")
     p.add_argument("x")
-    p.add_argument("side", choices=sorted(_SIDES))
+    p.add_argument("side", choices=sorted(SIDE_NAMES))
     p.set_defaults(run=_cmd_limit)
 
     p = sub.add_parser("minimality", help="exact minimality test")

@@ -24,7 +24,7 @@ from .exactnum import QNum, format_qnum
 Point = tuple[QNum, QNum]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A closed interval [a, b]; a == b encodes a single point."""
 
@@ -42,16 +42,8 @@ class Interval:
     def is_point(self) -> bool:
         return self.a == self.b
 
-    def shifted(self, d) -> "Interval":
-        return Interval(self.a + d, self.b + d)
-
     def contains(self, t) -> bool:
         return self.a <= t <= self.b
-
-    def relint_contains(self, t) -> bool:
-        if self.is_point:
-            return t == self.a
-        return self.a < t < self.b
 
     def relint_meets_open(self, lo, hi) -> bool:
         """Does the relative interior meet the open interval (lo, hi)?"""
@@ -65,7 +57,7 @@ class Interval:
         return "[%s, %s]" % (format_qnum(self.a), format_qnum(self.b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face2D:
     """A face F(I, J, K) with its extreme points, exactly computed."""
 
@@ -122,16 +114,21 @@ def polygon_vertices(I: Interval, J: Interval, K: Interval) -> tuple[Point, ...]
 def make_face(I: Interval, J: Interval, K: Interval) -> Face2D | None:
     """Build F(I, J, K), or None when the constraint set is empty."""
     verts = polygon_vertices(I, J, K)
-    if not verts:
-        return None
+    return _face(I, J, K, verts, {}.setdefault) if verts else None
+
+
+def _face(I: Interval, J: Interval, K: Interval, verts: tuple[Point, ...],
+          same) -> Face2D:
+    """F(I, J, K) from its extreme points; same(x, x) is the kept x."""
     dim = 0 if len(verts) == 1 else (1 if len(verts) == 2 else 2)
     xs = [p[0] for p in verts]
     ys = [p[1] for p in verts]
     ss = [p[0] + p[1] for p in verts]
+    lo, hi = min(ss), max(ss)
     return Face2D(I, J, K, verts, dim,
                   Interval(min(xs), max(xs)),
                   Interval(min(ys), max(ys)),
-                  Interval(min(ss), max(ss)))
+                  Interval(same(lo, lo), same(hi, hi)))
 
 
 def _one_dim_faces(points: list[QNum]) -> tuple[Interval, ...]:
@@ -166,6 +163,8 @@ class Complex2D:
         ka = [K.a for K in self.faces_k]
         kb = [K.b for K in self.faces_k]
         by_pointset: dict[tuple[Point, ...], Face2D] = {}
+        # many faces, few distinct coordinates: share one object for each
+        same = {}.setdefault
         for I in self.faces_x:
             for J in self.faces_x:
                 lo = I.a + J.a
@@ -173,20 +172,17 @@ class Complex2D:
                 i0 = bisect.bisect_left(kb, lo)
                 i1 = bisect.bisect_right(ka, hi)
                 for K in self.faces_k[i0:i1]:
-                    face = make_face(I, J, K)
-                    if face is None:
-                        continue
-                    cur = by_pointset.get(face.vertices)
-                    if cur is None or face.triple_key < cur.triple_key:
-                        by_pointset[face.vertices] = face
+                    # triples come in increasing triple_key order, so the
+                    # first triple of a point set is its representative
+                    verts = polygon_vertices(I, J, K)
+                    if verts and verts not in by_pointset:
+                        verts = tuple((same(x, x), same(y, y))
+                                      for x, y in verts)
+                        by_pointset[verts] = _face(I, J, K, verts, same)
         self._by_pointset = by_pointset
-        self.faces: tuple[Face2D, ...] = tuple(
-            sorted(by_pointset.values(), key=lambda F: F.triple_key))
+        self.faces: tuple[Face2D, ...] = tuple(by_pointset.values())
 
     # -- lookup -------------------------------------------------------------
-
-    def faces_of_dim(self, d: int) -> list[Face2D]:
-        return [F for F in self.faces if F.dim == d]
 
     def locate_x(self, t: QNum) -> Interval:
         """The 1-D face over [0,1] whose relative interior holds t."""
@@ -215,11 +211,8 @@ class Complex2D:
         y = QNum.of(y)
         face = make_face(self.locate_x(x), self.locate_x(y),
                          self.locate_k(x + y))
-        assert face is not None
-        return self._by_pointset[face.vertices]
-
-    def canonical(self, face: Face2D) -> Face2D:
-        """The stored representative with the same point set."""
+        if face is None:
+            raise ArithmeticError(f"no face of the complex holds ({x}, {y})")
         return self._by_pointset[face.vertices]
 
     def find_face(self, I: Interval, J: Interval, K: Interval) -> Face2D:

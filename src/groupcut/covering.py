@@ -87,7 +87,8 @@ def edge_connections(report: AdditivityReport) -> list[Move]:
         F = fc.face
         singletons = [p.is_point for p in (F.p1, F.p2, F.p3)]
         # an edge of the complex is vertical, horizontal, or antidiagonal
-        assert singletons.count(True) >= 1, F.label()
+        if not any(singletons):
+            raise ArithmeticError(f"{F.label()} is not an edge of a complex")
         if singletons[2]:
             center = F.p3.a
             moves.append(Move("reflection", center,

@@ -9,8 +9,10 @@ inputs produce byte-identical output, so diagrams diff cleanly.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+from functools import lru_cache
 
 from .exactnum import QNum, parse_qnum
 from .pwl import PwlFunction, BreakpointRow
@@ -191,21 +193,22 @@ def render_sidecar(fn, report: AdditivityReport | None = None) -> dict:
     if report is None:
         report = additive_face_report(base)
     specials = base.special_intervals
+    text = lru_cache(maxsize=None)(str)  # one string per recurring number
     faces = []
     for cls in report.faces:
         face = cls.face
         faces.append({
-            "I": [str(face.I.a), str(face.I.b)],
-            "J": [str(face.J.a), str(face.J.b)],
-            "K": [str(face.K.a), str(face.K.b)],
+            "I": [text(face.I.a), text(face.I.b)],
+            "J": [text(face.J.a), text(face.J.b)],
+            "K": [text(face.K.a), text(face.K.b)],
             "dim": face.dim,
             "status": cls.status,
             "n_f": n_f(face, specials),
-            "vertices": [[str(u), str(v)] for (u, v) in face.vertices],
+            "vertices": [[text(u), text(v)] for (u, v) in face.vertices],
             "slacks": [{
-                "vertex": [str(r.vertex[0]), str(r.vertex[1])],
+                "vertex": [text(r.vertex[0]), text(r.vertex[1])],
                 "sides": list(r.sides),
-                "slack": str(r.slack),
+                "slack": text(r.slack),
             } for r in cls.slacks],
         })
     data = {
@@ -236,7 +239,11 @@ def render_diagram(fn, *, show_additive: bool = True,
 
 
 def sidecar_to_json(data: dict) -> str:
-    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+    # chunk by chunk: with an indent, dumps would hold every chunk at once
+    out = io.StringIO()
+    json.dump(data, out, indent=1, sort_keys=True)
+    out.write("\n")
+    return out.getvalue()
 
 
 def function_from_sidecar(data: dict) -> PwlFunction:

@@ -1,134 +1,143 @@
 """Exact arithmetic over the quadratic field Q(sqrt(2)).
 
-Every quantity is a + b*sqrt(2) with rational a, b.  All comparisons are
-exact: the sign of a + b*sqrt(2) is decided by integer arithmetic alone,
-never by floating point.  Floats appear only in ``__float__`` (rendering)
-and as a first guess inside ``floor`` (then verified exactly).
+Every quantity is stored as (p + q*sqrt(2))/d for ints p, q, d with d > 0
+and gcd(p, q, d) = 1.  That form is canonical, so equality compares three
+ints.  Order, sign and floor are decided by integer arithmetic alone;
+floats appear only in ``__float__``, for rendering.
 """
 
 from __future__ import annotations
 
-import math
 import re
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, isqrt, lcm, sqrt
 from typing import Union
 
 Rat = Fraction
 
-_COERCIBLE = (int, Fraction)
-
 QNumLike = Union["QNum", int, Fraction, str]
 
 
-def _sign_rat(r: Fraction) -> int:
-    if r > 0:
-        return 1
-    if r < 0:
-        return -1
-    return 0
+@lru_cache(maxsize=4096)
+def _hash_inverse(d: int) -> int:
+    """1/d modulo the hash modulus, as Fraction.__hash__ uses it."""
+    return pow(d, -1, sys.hash_info.modulus)
+
+
+def _sign(p: int, q: int) -> int:
+    """Sign of p + q*sqrt(2): with opposite signs, that of p^2 - 2 q^2,
+    which is never 0 because sqrt(2) is irrational."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    sq = 1 if q > 0 else -1
+    if p == 0 or (p > 0) == (q > 0) or p * p < 2 * q * q:
+        return sq
+    return -sq
 
 
 class QNum:
-    """An immutable element a + b*sqrt(2) of Q(sqrt(2))."""
+    """An immutable element (p + q*sqrt(2))/d of Q(sqrt(2)).
 
-    __slots__ = ("a", "b")
+    ``QNum(a, b)`` is a + b*sqrt(2) for ints or Fractions a, b; ``QNum(s)``
+    parses the grammar of ``parse_qnum``.  The rational parts are the
+    read-only Fraction properties ``a`` and ``b``.
+    """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, a: QNumLike = 0, b: QNumLike = 0):
-        if isinstance(a, str):
-            if b != 0:
-                raise ValueError("string form already fixes both parts")
-            parsed = parse_qnum(a)
-            object.__setattr__(self, "a", parsed.a)
-            object.__setattr__(self, "b", parsed.b)
+        if type(a) is int and type(b) is int:
+            self._p, self._q, self._d = a, b, 1
             return
-        if isinstance(a, QNum):
+        if isinstance(a, (str, QNum)):
             if b != 0:
-                raise ValueError("cannot add a second part to a QNum")
-            object.__setattr__(self, "a", a.a)
-            object.__setattr__(self, "b", a.b)
+                raise ValueError(f"{a!r} already fixes both parts")
+            x = parse_qnum(a) if isinstance(a, str) else a
+            self._p, self._q, self._d = x._p, x._q, x._d
             return
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        a, b = Fraction(a), Fraction(b)
+        d = lcm(a.denominator, b.denominator)  # no prime divides p, q and d
+        self._p, self._q, self._d = (a.numerator * (d // a.denominator),
+                                     b.numerator * (d // b.denominator), d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QNum is immutable")
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._p, self._d)
 
-    # -- coercion ---------------------------------------------------------
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(2)."""
+        return Fraction(self._q, self._d)
 
     @staticmethod
     def of(x: QNumLike) -> "QNum":
         """Coerce an int, Fraction, str, or QNum to a QNum."""
-        if isinstance(x, QNum):
-            return x
-        if isinstance(x, str):
-            return parse_qnum(x)
-        return QNum(Fraction(x))
-
-    @classmethod
-    def _wrap(cls, other) -> "QNum | None":
-        if isinstance(other, QNum):
-            return other
-        if isinstance(other, _COERCIBLE):
-            return cls(Fraction(other))
-        return None
+        return x if type(x) is QNum else QNum(x)
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        o = self._wrap(other)
+        o = other if type(other) is QNum else _coerce(other)
         if o is None:
             return NotImplemented
-        return QNum(self.a + o.a, self.b + o.b)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _reduced(self._p + o._p, self._q + o._q, d1)
+        return _reduced(self._p * d2 + o._p * d1, self._q * d2 + o._q * d1,
+                        d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._wrap(other)
+        o = other if type(other) is QNum else _coerce(other)
         if o is None:
             return NotImplemented
-        return QNum(self.a - o.a, self.b - o.b)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _reduced(self._p - o._p, self._q - o._q, d1)
+        return _reduced(self._p * d2 - o._p * d1, self._q * d2 - o._q * d1,
+                        d1 * d2)
 
     def __rsub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return QNum(o.a - self.a, o.b - self.b)
+        o = _coerce(other)
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
-        o = self._wrap(other)
+        o = other if type(other) is QNum else _coerce(other)
         if o is None:
             return NotImplemented
-        return QNum(self.a * o.a + 2 * self.b * o.b,
-                    self.a * o.b + self.b * o.a)
+        p1, q1, p2, q2 = self._p, self._q, o._p, o._q
+        return _reduced(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2,
+                        self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._wrap(other)
+        o = other if type(other) is QNum else _coerce(other)
         if o is None:
             return NotImplemented
-        # 1/(a + b*sqrt2) = (a - b*sqrt2)/(a^2 - 2 b^2); the denominator
-        # vanishes only at 0 because sqrt2 is irrational.
-        n = o.a * o.a - 2 * o.b * o.b
+        # 1/(p + q*sqrt2) = (p - q*sqrt2)/(p^2 - 2 q^2); the norm vanishes
+        # only at 0 because sqrt2 is irrational.
+        p1, q1, p2, q2 = self._p, self._q, o._p, o._q
+        n, d2 = (p2 * p2 - 2 * q2 * q2) * self._d, o._d
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return QNum((self.a * o.a - 2 * self.b * o.b) / n,
-                    (self.b * o.a - self.a * o.b) / n)
+        if n < 0:
+            n, d2 = -n, -d2
+        return _reduced((p1 * p2 - 2 * q1 * q2) * d2,
+                        (q1 * p2 - p1 * q2) * d2, n)
 
     def __rtruediv__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        o = _coerce(other)
+        return NotImplemented if o is None else o / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = QNum(1)
-        base = self
+        out, base = _make(1, 0, 1), self
         while n:
             if n & 1:
                 out = out * base
@@ -137,106 +146,88 @@ class QNum:
         return out
 
     def __neg__(self):
-        return QNum(-self.a, -self.b)
+        return _make(-self._p, -self._q, self._d)
 
     def __pos__(self):
         return self
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return -self if _sign(self._p, self._q) < 0 else self
 
     def conjugate(self) -> "QNum":
-        return QNum(self.a, -self.b)
+        return _make(self._p, -self._q, self._d)
 
     # -- exact sign and order ---------------------------------------------
 
     def sign(self) -> int:
-        """Sign of a + b*sqrt(2), decided exactly.
-
-        When sign(a) and sign(b) agree (or one is zero) the answer is
-        immediate.  Otherwise it reduces to comparing a^2 with 2*b^2,
-        which is pure rational arithmetic; a tie would force sqrt(2)
-        rational, so it cannot occur for nonzero parts.
-        """
-        sa = _sign_rat(self.a)
-        sb = _sign_rat(self.b)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        # opposite signs: |a| vs |b|*sqrt2, i.e. a^2 vs 2 b^2
-        lhs = self.a.numerator ** 2 * self.b.denominator ** 2
-        rhs = 2 * self.b.numerator ** 2 * self.a.denominator ** 2
-        if lhs == rhs:  # impossible for rational a, b != 0
-            raise ArithmeticError("sqrt2 cannot be rational")
-        return sa if lhs > rhs else sb
+        """Sign of self, decided exactly from integers."""
+        return _sign(self._p, self._q)
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._q == 0
 
     def __eq__(self, other):
-        o = self._wrap(other)
+        if type(other) is int:
+            return self._d == 1 and self._q == 0 and self._p == other
+        o = other if type(other) is QNum else _coerce(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        return self._p == o._p and self._q == o._q and self._d == o._d
 
     def __lt__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        s = _cmp(self, other)
+        return NotImplemented if s is None else s < 0
 
     def __le__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        s = _cmp(self, other)
+        return NotImplemented if s is None else s <= 0
 
     def __gt__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
+        s = _cmp(self, other)
+        return NotImplemented if s is None else s > 0
 
     def __ge__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        s = _cmp(self, other)
+        return NotImplemented if s is None else s >= 0
 
     def __hash__(self):
-        # rational values must hash like their Fraction so that mixed
-        # dict keys behave
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        p, q, d = self._p, self._q, self._d
+        if q:
+            return hash((p, q, d))
+        if d == 1:
+            return hash(p)
+        # a rational value hashes like its Fraction, so that dict keys that
+        # mix the two work; this is Fraction.__hash__
+        try:
+            h = hash(hash(abs(p)) * _hash_inverse(d))
+        except ValueError:  # d is a multiple of the modulus
+            h = sys.hash_info.inf
+        h = h if p >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self._p != 0 or self._q != 0
 
     # -- floor / fractional part ------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(2)
+        return self._p / self._d + self._q / self._d * sqrt(2)
 
     def floor(self) -> int:
-        """Largest integer <= self, found by a float guess verified exactly."""
-        n = math.floor(float(self))
-        while self - n < 0:
-            n -= 1
-        while self - (n + 1) >= 0:
-            n += 1
-        return n
+        """Largest integer <= self: (p + floor(q*sqrt2)) // d, where
+        floor(q*sqrt2) is isqrt(2 q^2), or -isqrt(2 q^2) - 1 for q < 0."""
+        q = self._q
+        if q == 0:
+            return self._p // self._d
+        s = isqrt(2 * q * q)
+        return (self._p + (s if q > 0 else -s - 1)) // self._d
 
     def mod1(self) -> "QNum":
         """Fractional part, in [0, 1)."""
-        return self - self.floor()
+        n = self.floor()
+        if n == 0:
+            return self
+        return _make(self._p - n * self._d, self._q, self._d)
 
     # -- text form ----------------------------------------------------------
 
@@ -247,10 +238,48 @@ class QNum:
         return f"QNum({format_qnum(self)!r})"
 
 
-_RAT_RE = r"[0-9]+(?:/[0-9]+)?"
-_TERM_RE = re.compile(
-    rf"^([+-]?)(?:({_RAT_RE})(\*sqrt2)?|(sqrt2))$"
-)
+_new = object.__new__
+
+
+def _make(p: int, q: int, d: int) -> QNum:
+    """A QNum from parts already in canonical form; checks nothing."""
+    x = _new(QNum)
+    x._p, x._q, x._d = p, q, d
+    return x
+
+
+def _reduced(p: int, q: int, d: int) -> QNum:
+    """A QNum from parts with d > 0, divided by their common factor."""
+    g = gcd(p, q, d)
+    return _make(p, q, d) if g == 1 else _make(p // g, q // g, d // g)
+
+
+def _coerce(x) -> QNum | None:
+    """A non-QNum x as a QNum, or None for a type that does not mix."""
+    if type(x) is int:
+        return _make(x, 0, 1)
+    if isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+        return _make(x.numerator, 0, x.denominator)
+    return None
+
+
+def _cmp(x: QNum, y) -> int | None:
+    """Sign of x - y, found without building x - y; None if y does not mix."""
+    if type(y) is not QNum:
+        if type(y) is int:
+            return _sign(x._p - y * x._d, x._q)
+        y = _coerce(y)
+        if y is None:
+            return None
+    d1, d2 = x._d, y._d
+    if d1 == d2:
+        return _sign(x._p - y._p, x._q - y._q)
+    return _sign(x._p * d2 - y._p * d1, x._q * d2 - y._q * d1)
+
+
+_COEFF = r"(?:[0-9]+(?:/[0-9]+)?(?:\*sqrt2)?|sqrt2)"
+_NUMBER_RE = re.compile(rf"([+-]?{_COEFF})([+-]{_COEFF})?")
 
 
 def parse_qnum(text: str) -> QNum:
@@ -260,60 +289,32 @@ def parse_qnum(text: str) -> QNum:
     ``77/7752*sqrt2``, ``19/100 + 77/7752*sqrt2``,
     ``77/7752*sqrt2 + 19/100``, and the ``-`` separated variants.
     """
-    s = "".join(text.split())
-    if not s:
-        raise ValueError("empty number")
-    # split on + or - that starts a new term (not the leading sign)
-    parts: list[str] = []
-    start = 0
-    for i in range(1, len(s)):
-        if s[i] in "+-" and s[i - 1] not in "*/+-":
-            parts.append(s[start:i])
-            start = i
-    parts.append(s[start:])
-    if len(parts) > 2:
-        raise ValueError(f"too many terms in {text!r}")
-    a = Fraction(0)
-    b = Fraction(0)
-    seen_rat = seen_irr = False
-    for part in parts:
-        m = _TERM_RE.match(part)
-        if not m:
-            raise ValueError(f"bad term {part!r} in {text!r}")
-        sign_s, rat_s, irr_s, bare_s = m.groups()
-        if bare_s:
-            rat_s, irr_s = "1", bare_s
+    m = _NUMBER_RE.fullmatch("".join(text.split()))
+    if m is None:
+        raise ValueError(f"{text!r} is not R, R*sqrt2 or their sum")
+    parts: dict[bool, Fraction] = {}  # is the term's factor sqrt2 -> coeff
+    for term in filter(None, m.groups()):
+        irrational = term.endswith("sqrt2")
+        if irrational in parts:
+            raise ValueError(f"two {'sqrt2' if irrational else 'rational'} "
+                             f"terms in {text!r}")
+        coeff = term.removesuffix("sqrt2").removesuffix("*")
         try:
-            coeff = Fraction(rat_s)
+            parts[irrational] = Fraction(
+                coeff + "1" if coeff in ("", "+", "-") else coeff)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
-        if sign_s == "-":
-            coeff = -coeff
-        if irr_s:
-            if seen_irr:
-                raise ValueError(f"two sqrt2 terms in {text!r}")
-            seen_irr = True
-            b = coeff
-        else:
-            if seen_rat:
-                raise ValueError(f"two rational terms in {text!r}")
-            seen_rat = True
-            a = coeff
-    return QNum(a, b)
+    return QNum(parts.get(False, 0), parts.get(True, 0))
 
 
 def format_qnum(x: QNumLike) -> str:
     """Canonical text form: rational part first, then the sqrt2 term."""
     q = QNum.of(x)
-    if q.b == 0:
-        return str(q.a)
-    if q.a == 0:
-        return f"{q.b}*sqrt2"
-    if q.b > 0:
-        return f"{q.a} + {q.b}*sqrt2"
-    return f"{q.a} - {-q.b}*sqrt2"
-
-
-SQRT2 = QNum(0, 1)
-ZERO = QNum(0)
-ONE = QNum(1)
+    a, b = q.a, q.b
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*sqrt2"
+    if b > 0:
+        return f"{a} + {b}*sqrt2"
+    return f"{a} - {-b}*sqrt2"

@@ -51,7 +51,8 @@ class LinearSystem:
         self.variables: tuple[PerturbVar, ...] = tuple(variables)
         self.rows: list[tuple[str, dict[str, QNum]]] = list(rows)
         names = [v.name for v in self.variables]
-        assert len(set(names)) == len(names)
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names in {names}")
         self._order = {n: k for k, n in enumerate(names)}
 
     @property

@@ -23,15 +23,6 @@ AT = 0
 PLUS = 1
 
 SIDE_NAMES = {"minus": MINUS, "at": AT, "plus": PLUS}
-SIDE_LABELS = {MINUS: "minus", AT: "at", PLUS: "plus"}
-
-
-def parse_side(s) -> int:
-    if isinstance(s, int) and s in (-1, 0, 1):
-        return s
-    if isinstance(s, str) and s.lower() in SIDE_NAMES:
-        return SIDE_NAMES[s.lower()]
-    raise ValueError(f"side must be minus/at/plus, got {s!r}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ sampling uses fixed rational lattices, never floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -382,12 +381,11 @@ def _fixed_coset_points(lo: QNum, hi: QNum, p, reps) -> list[QNum]:
     matter how the window sits relative to the representatives.
     """
     out = []
-    t1f = float(p.t1)
     for c in reps:
         for j in range(-8, 9):
             base = c + p.t2 * j
-            i_lo = math.floor((float(lo) - float(base)) / t1f) - 1
-            i_hi = math.ceil((float(hi) - float(base)) / t1f) + 1
+            i_lo = ((lo - base) / p.t1).floor()
+            i_hi = ((hi - base) / p.t1).floor() + 1
             for i in range(i_lo, i_hi + 1):
                 tau = base + p.t1 * i
                 if lo < tau < hi:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from groupcut.exactnum import QNum
 from groupcut.pwl import PwlFunction, BreakpointRow
@@ -264,3 +265,42 @@ def gap_instance_holds(hull, g, m, zero, rng: random.Random) -> bool:
         if 4 * gx * gx < m * m * d2:
             return False
     return True
+
+
+# -- Q(sqrt2) as plain pairs of Fractions, a reference for QNum ---------------
+# A pair (a, b) stands for a + b*sqrt2.  Written without QNum's integer core.
+
+
+def pair_of(x: QNum) -> tuple[Fraction, Fraction]:
+    return (x.a, x.b)
+
+
+def pair_mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c + 2 * b * d, a * d + b * c)
+
+
+def pair_div(x, y):
+    (c, d) = y
+    norm = c * c - 2 * d * d  # nonzero unless y == 0, as sqrt2 is irrational
+    return pair_mul(x, (c / norm, -d / norm))
+
+
+def pair_sign(x) -> int:
+    a, b = x
+    if a >= 0 and b >= 0 or a <= 0 and b <= 0:
+        return (a + b > 0) - (a + b < 0)
+    # opposite signs: |a| against |b|*sqrt2
+    return (1 if a > 0 else -1) * (1 if a * a > 2 * b * b else -1)
+
+
+def pair_floor(x) -> int:
+    """floor(a + b*sqrt2): an integer guess from isqrt, then exact steps."""
+    a, b = x
+    root = isqrt(int(2 * b * b))  # floor(|b|*sqrt2)
+    n = a.__floor__() + (root if b >= 0 else -root - 1)
+    while pair_sign((a - n, b)) < 0:
+        n -= 1
+    while pair_sign((a - n - 1, b)) >= 0:
+        n += 1
+    return n

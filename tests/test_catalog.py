@@ -1,5 +1,8 @@
 """Catalog functions: fixed tables, derived constants, cosets, lifting."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -214,3 +217,21 @@ def test_catalog_registry():
     assert get("kzh_lifted") is lifted_function()
     with pytest.raises(KeyError):
         get("nope")
+
+
+def _catalog_under_O(code: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(cat.__file__))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", "import groupcut.catalog as c; " + code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+
+
+def test_self_checks_survive_python_O():
+    assert _catalog_under_O("c.kzh_function()").returncode == 0
+    # one value off its symmetry partner: 2727/13000 + 10273/13000 != 1
+    bad = _catalog_under_O(
+        "c._KZH_ROWS[1] = c._KZH_ROWS[1][:2] + ('2728/13000',) "
+        "+ c._KZH_ROWS[1][3:]; c.kzh_function()")
+    assert bad.returncode != 0
+    assert "ArithmeticError: rows 1,36" in bad.stderr

@@ -1,14 +1,19 @@
 """Command line surface: grammar on the wire, exit codes, file output."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import groupcut
 from groupcut.cli import main
 from groupcut.exactnum import QNum
 from groupcut.pwl import load, to_text
-from groupcut.catalog import kzh_function, kzh_params, lifted_function
+from groupcut.catalog import (kzh_function, kzh_params, lifted_function,
+                              psi_function)
 from helpers import midpoint_pair
 
 Q = lambda *a: QNum(Fraction(*a))
@@ -196,3 +201,22 @@ def test_no_arguments_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """groupcut in a fresh interpreter, stopped if it runs past 60 s."""
+    src = os.path.dirname(os.path.dirname(groupcut.__file__))
+    code = "import sys; from groupcut.cli import main; sys.exit(main())"
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_eval_at_powers_of_one_minus_sqrt2_exits_promptly(tmp_path):
+    path = tmp_path / "psi.txt"
+    path.write_text(to_text(psi_function()))
+    for n in (60, 61, 400):
+        x = (1 - QNum(0, 1)) ** n  # parts near 2.4^n, value within 1 of 0
+        done = _run_cli("eval", str(path), str(x))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{psi_function().eval(x)}\n"

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -169,3 +171,113 @@ def test_conjugate_and_sign():
     assert QNum(-3, 2).sign() == -1
     assert QNum(Fraction(17, 12), -1).sign() == 1  # 17/12 > sqrt2
     assert QNum(Fraction(-24, 17), 1).sign() == 1  # sqrt2 > 24/17
+
+
+# -- the integer core against Fraction pairs and sympy ---------------------------
+
+from helpers import pair_div, pair_floor, pair_mul, pair_of, pair_sign  # noqa: E402
+
+huge_parts = st.builds(Fraction, st.integers(-10**45, 10**45),
+                       st.integers(1, 10**35))
+wide_qnums = st.builds(QNum, st.one_of(rationals, huge_parts),
+                       st.one_of(rationals, huge_parts))
+
+
+def sqrt2_convergent(k: int) -> tuple[int, int]:
+    """p/q, the k-th convergent of sqrt2: |p - q*sqrt2| < 1/q."""
+    p, q = 1, 1
+    for _ in range(k):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+@st.composite
+def nearly_cancelling(draw, max_k: int = 120):
+    """shift + scale*(p - q*sqrt2): parts up to about 10^46, value within
+    about 1/q of an integer."""
+    p, q = sqrt2_convergent(draw(st.integers(0, max_k)))
+    scale = draw(st.sampled_from((1, -1, Fraction(1, 3), Fraction(-7, 5))))
+    shift = draw(st.integers(-3, 3))
+    return QNum(shift + scale * p, -scale * q)
+
+
+numbers = st.one_of(qnums, wide_qnums, nearly_cancelling())
+
+
+@settings(max_examples=300)
+@given(numbers, numbers)
+def test_field_operations_match_fraction_pairs(x, y):
+    (a, b), (c, d) = pair_of(x), pair_of(y)
+    assert pair_of(x + y) == (a + c, b + d)
+    assert pair_of(x - y) == (a - c, b - d)
+    assert pair_of(x * y) == pair_mul((a, b), (c, d))
+    if y != 0:
+        assert pair_of(x / y) == pair_div((a, b), (c, d))
+        assert (x * y) / y == x  # another route to the same canonical form
+        assert hash((x * y) / y) == hash(x)
+
+
+@settings(max_examples=300)
+@given(numbers, numbers)
+def test_order_matches_fraction_pairs(x, y):
+    (a, b), (c, d) = pair_of(x), pair_of(y)
+    s = pair_sign((a - c, b - d))
+    assert ((x < y), (x <= y), (x == y), (x >= y), (x > y)) == (
+        s < 0, s <= 0, s == 0, s >= 0, s > 0)
+    assert x.sign() == pair_sign((a, b))
+    n = pair_floor((a, b))
+    assert (x < n, x >= n, x < n + 1) == (False, True, True)
+    assert (x > Fraction(n), x == Fraction(n)) == (x != n, x == n)
+
+
+@settings(max_examples=300)
+@given(numbers)
+def test_floor_and_mod1_match_fraction_pairs(x):
+    n = x.floor()
+    assert n == pair_floor(pair_of(x))
+    m = x.mod1()
+    assert pair_of(m) == (x.a - n, x.b)
+    assert 0 <= m < 1
+    if n == 0:
+        assert m is x
+
+
+@given(numbers, numbers)
+def test_hash_agrees_with_equality_and_fraction(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
+    r = QNum(x.a)  # the rational part alone
+    assert hash(r) == hash(x.a) and r == x.a
+    assert {x.a: "r"}[r] == "r"
+
+
+def test_hash_of_denominators_without_an_inverse():
+    modulus = sys.hash_info.modulus  # Fraction hashes these as inf
+    for v in (Fraction(1, modulus), Fraction(-3, 2 * modulus)):
+        assert hash(QNum(v)) == hash(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(qnums, wide_qnums, nearly_cancelling(max_k=30)), qnums)
+def test_floor_and_order_match_sympy(x, y):
+    sympy = pytest.importorskip("sympy")
+
+    def sym(q):
+        return (sympy.Rational(q.a.numerator, q.a.denominator)
+                + sympy.Rational(q.b.numerator, q.b.denominator)
+                * sympy.sqrt(2))
+
+    assert x.floor() == int(sympy.floor(sym(x)))
+    assert (x < y) == bool(sym(x) < sym(y))
+
+
+def test_floor_of_powers_of_one_minus_sqrt2_is_exact_and_fast():
+    # (1 - sqrt2)^n lies in (0, 1) for even n and in (-1, 0) for odd n,
+    # with parts near 2.4^n; a float guess at the floor is useless here
+    base = 1 - QNum(0, 1)
+    t0 = time.perf_counter()
+    for n in range(1, 1001):
+        x = base ** n
+        assert x.floor() == (0 if n % 2 == 0 else -1)
+        assert x.mod1() == (x if n % 2 == 0 else x + 1)
+    assert time.perf_counter() - t0 < 30

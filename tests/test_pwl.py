@@ -1,9 +1,11 @@
 """Periodic piecewise linear functions: limits, arithmetic, file format."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from groupcut.catalog import psi_function
 from groupcut.exactnum import QNum
 from groupcut.pwl import (AT, MINUS, PLUS, BreakpointRow, PwlFunction,
                           load, parse_text, save, to_text)
@@ -194,3 +196,11 @@ def test_wraparound_piece_uses_row_zero_left():
     assert fn.limit(QNum(Fraction(999, 1000)), PLUS) == H
     assert fn.limit(QNum(1), MINUS) == fn.rows[0].left == H
     assert fn.slopes == (QNum(0), QNum(0))
+
+
+def test_readme_function_file_example_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Function files", 1)[1]
+    example = section.split("```")[1]
+    assert parse_text(example) == psi_function()
+    assert to_text(parse_text(example)) == example.lstrip("\n")
