@@ -19,10 +19,11 @@ finitely many vertex slacks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .complex2d import Complex2D, Face2D
-from .exactnum import QNum, format_qnum
+from .exactnum import QNum
 from .pwl import AT, MINUS, PLUS, PwlFunction
 
 ADDITIVE = "additive"
@@ -31,15 +32,6 @@ NON_ADDITIVE = "non_additive"
 
 # the 27 side triples, so that slack records share them
 _SIDE_TRIPLES = {t: t for t in product((MINUS, AT, PLUS), repeat=3)}
-
-
-def get_complex(fn: PwlFunction) -> Complex2D:
-    """The 2-D complex over fn's breakpoints, cached on the function."""
-    cached = getattr(fn, "_complex2d", None)
-    if cached is None:
-        cached = Complex2D(fn.breakpoints)
-        fn._complex2d = cached
-    return cached
 
 
 def vertex_sides(face: Face2D, vertex) -> tuple[int, int, int]:
@@ -51,17 +43,24 @@ def vertex_sides(face: Face2D, vertex) -> tuple[int, int, int]:
     an interior point of a projection, which never hits a breakpoint).
     """
     u, v = vertex
+    return _sides(face, u, v, u + v)
+
+
+def _sides(face: Face2D, u, v, s) -> tuple[int, int, int]:
     out = []
-    for t, proj in ((u, face.p1), (v, face.p2), (u + v, face.p3)):
-        if proj.is_point:
-            out.append(AT)
-        elif t == proj.a:
-            out.append(PLUS)
+    for t, proj in ((u, face.p1), (v, face.p2), (s, face.p3)):
+        if t == proj.a:
+            out.append(AT if t == proj.b else PLUS)
         elif t == proj.b:
             out.append(MINUS)
         else:
             out.append(AT)
     return _SIDE_TRIPLES[tuple(out)]
+
+
+def _slack(fn: PwlFunction, u, v, s, sides) -> QNum:
+    s1, s2, s3 = sides
+    return fn.limit(u, s1) + fn.limit(v, s2) - fn.limit(s, s3)
 
 
 def slack_at(fn: PwlFunction, face: Face2D, vertex) -> QNum:
@@ -71,13 +70,11 @@ def slack_at(fn: PwlFunction, face: Face2D, vertex) -> QNum:
     if not (face.p1.contains(u) and face.p2.contains(v)
             and face.p3.contains(s)):
         raise ValueError(f"point ({u}, {v}) not in {face.label()}")
-    s1, s2, s3 = vertex_sides(face, vertex)
-    return fn.limit(u, s1) + fn.limit(v, s2) - fn.limit(s, s3)
+    return _slack(fn, u, v, s, _sides(face, u, v, s))
 
 
 @dataclass(frozen=True, slots=True)
 class SlackRecord:
-    face: Face2D
     vertex: tuple[QNum, QNum]
     slack: QNum
     sides: tuple[int, int, int]
@@ -100,8 +97,9 @@ class AdditivityReport:
     complex: Complex2D
     faces: tuple[FaceClassification, ...]
 
-    def __post_init__(self):
-        self._by_key = {fc.face.triple_key: fc for fc in self.faces}
+    @cached_property
+    def _by_points(self) -> dict:
+        return {fc.face.vertices: fc for fc in self.faces}
 
     @property
     def additive_faces(self) -> list[Face2D]:
@@ -112,35 +110,25 @@ class AdditivityReport:
         return [fc.face for fc in self.faces if fc.status == LIMIT_ADDITIVE]
 
     def classification_of(self, face: Face2D) -> FaceClassification:
-        return self._by_key[face.triple_key]
-
-    def to_json(self) -> dict:
-        """Lossless JSON form; all numbers as exact strings."""
-        out = []
-        for fc in self.faces:
-            out.append({
-                "face": {
-                    "I": [format_qnum(fc.face.I.a), format_qnum(fc.face.I.b)],
-                    "J": [format_qnum(fc.face.J.a), format_qnum(fc.face.J.b)],
-                    "K": [format_qnum(fc.face.K.a), format_qnum(fc.face.K.b)],
-                    "dim": fc.face.dim,
-                },
-                "status": fc.status,
-                "slacks": [{
-                    "vertex": [format_qnum(r.vertex[0]),
-                               format_qnum(r.vertex[1])],
-                    "sides": list(r.sides),
-                    "slack": format_qnum(r.slack),
-                } for r in fc.slacks],
-            })
-        return {"name": self.fn.name, "f": format_qnum(self.fn.f),
-                "faces": out}
+        got = self._by_points.get(face.vertices)
+        if got is None:
+            raise ValueError(f"{face.label()} is not a face of the complex")
+        return got
 
 
 def classify_face(fn: PwlFunction, face: Face2D) -> FaceClassification:
-    recs = tuple(SlackRecord(face, v, slack_at(fn, face, v),
-                             vertex_sides(face, v))
-                 for v in face.vertices)
+    return _classify(fn, face, {}.setdefault)
+
+
+def _classify(fn: PwlFunction, face: Face2D, same) -> FaceClassification:
+    """classify_face; same(x, x) is the kept x of an equal slack value."""
+    recs = []
+    for vertex in face.vertices:
+        u, v = vertex
+        s = u + v
+        sides = _sides(face, u, v, s)
+        slack = _slack(fn, u, v, s, sides)
+        recs.append(SlackRecord(vertex, same(slack, slack), sides))
     zeros = sum(1 for r in recs if r.slack == 0)
     if zeros == len(recs):
         status = ADDITIVE
@@ -148,26 +136,24 @@ def classify_face(fn: PwlFunction, face: Face2D) -> FaceClassification:
         status = LIMIT_ADDITIVE
     else:
         status = NON_ADDITIVE
-    return FaceClassification(face, recs, status)
+    return FaceClassification(face, tuple(recs), status)
 
 
-def additive_face_report(fn: PwlFunction,
-                         complex: Complex2D | None = None) -> AdditivityReport:
-    """Classify every face of the complex by its vertex slacks.
+def additive_face_report(fn: PwlFunction) -> AdditivityReport:
+    """Classify every face of fn's complex by its vertex slacks.
 
-    The report over the function's own complex is cached on the function.
+    This is the function's one analysis: it is built on the first call,
+    kept on the function, and read by every later consumer.
     """
-    if complex is None:
-        cached = getattr(fn, "_additivity_report", None)
-        if cached is not None:
-            return cached
+    report = fn._analysis
+    if report is None:
+        cx = Complex2D(fn.breakpoints)
+        # 40,627 slacks of kzh take 388 values: share one object for each
+        same = {}.setdefault
         report = AdditivityReport(
-            fn, get_complex(fn),
-            tuple(classify_face(fn, F) for F in get_complex(fn).faces))
-        fn._additivity_report = report
-        return report
-    return AdditivityReport(fn, complex,
-                            tuple(classify_face(fn, F) for F in complex.faces))
+            fn, cx, tuple(_classify(fn, F, same) for F in cx.faces))
+        fn._analysis = report
+    return report
 
 
 # -- minimality ------------------------------------------------------------
@@ -190,13 +176,15 @@ class MinimalityReport:
 
 
 def minimality_test(fn: PwlFunction, f=None) -> MinimalityReport:
-    """Exact minimality check: pi(0)=0, bounds, subadditivity, symmetry.
+    """Exact minimality check: pi(0)=0, bounds, symmetry, subadditivity.
 
-    Subadditivity is certified by the vertex slacks of every face of the
-    2-D complex (the slack is affine per face).  Symmetry
-    pi(x) + pi(f-x) = 1 is checked for values and both one-sided limit
-    pairings on the mesh refined by f-reflected breakpoints; both sides
-    are affine between consecutive mesh points, so this is complete.
+    Symmetry pi(x) + pi(f-x) = 1 is checked for values and both one-sided
+    limit pairings on the mesh refined by f-reflected breakpoints; both
+    sides are affine between consecutive mesh points, so this is complete.
+    Subadditivity is certified last, by the vertex slacks of every face of
+    the 2-D complex (the slack is affine per face), read from the
+    function's analysis; the cheap checks come first so that a function
+    failing them never pays for the analysis.
     """
     f = fn.f if f is None else QNum.of(f)
 
@@ -210,15 +198,6 @@ def minimality_test(fn: PwlFunction, f=None) -> MinimalityReport:
             if not (0 <= t <= 1):
                 return MinimalityReport(False, "bounds",
                                         {"x": r.x, "limit": side, "value": t})
-
-    cx = get_complex(fn)
-    for face in cx.faces:
-        for v in face.vertices:
-            s = slack_at(fn, face, v)
-            if s < 0:
-                return MinimalityReport(
-                    False, "subadditivity",
-                    {"face": face.label(), "vertex": v, "slack": s})
 
     mesh = sorted({b for b in fn.breakpoints}
                   | {(f - b).mod1() for b in fn.breakpoints})
@@ -234,6 +213,14 @@ def minimality_test(fn: PwlFunction, f=None) -> MinimalityReport:
                 return MinimalityReport(
                     False, "symmetry",
                     {"x": t, "pairing": kind, "sum": total})
+
+    for fc in additive_face_report(fn).faces:
+        for r in fc.slacks:
+            if r.slack < 0:
+                return MinimalityReport(
+                    False, "subadditivity",
+                    {"face": fc.face.label(), "vertex": r.vertex,
+                     "slack": r.slack})
 
     return MinimalityReport(True)
 
@@ -256,7 +243,9 @@ def e_containment(fn1: PwlFunction, fn2: PwlFunction) -> EContainmentResult:
 
     Both E-sets are unions of relative interiors of additive faces of the
     common refined complex, so set comparison reduces to comparing the
-    two collections of additive faces.
+    two collections of additive faces.  Refining a function to the merged
+    breakpoints leaves its values and limits alone, so the analyses of the
+    two refined functions classify the faces of that one complex.
     """
     for fn in (fn1, fn2):
         if not isinstance(fn, PwlFunction):
@@ -264,18 +253,11 @@ def e_containment(fn1: PwlFunction, fn2: PwlFunction) -> EContainmentResult:
                 f"e_containment needs piecewise linear inputs, got "
                 f"{type(fn).__name__}; non-PWL functions are compared at "
                 f"the face level by their dedicated verification suite")
-    merged = sorted(set(fn1.breakpoints) | set(fn2.breakpoints))
-    cx = Complex2D(merged)
-
-    def additive_keys(fn):
-        keys = {}
-        for face in cx.faces:
-            if all(slack_at(fn, face, v) == 0 for v in face.vertices):
-                keys[face.triple_key] = face
-        return keys
-
-    a1 = additive_keys(fn1)
-    a2 = additive_keys(fn2)
+    a1, a2 = ({fc.face.triple_key: fc.face
+               for fc in additive_face_report(g).faces
+               if fc.status == ADDITIVE}
+              for g in (fn1.refine(fn2.breakpoints),
+                        fn2.refine(fn1.breakpoints)))
     only1 = sorted(set(a1) - set(a2))
     only2 = sorted(set(a2) - set(a1))
     w1 = a1[only1[0]] if only1 else None

@@ -125,10 +125,14 @@ def _face(I: Interval, J: Interval, K: Interval, verts: tuple[Point, ...],
     ys = [p[1] for p in verts]
     ss = [p[0] + p[1] for p in verts]
     lo, hi = min(ss), max(ss)
-    return Face2D(I, J, K, verts, dim,
-                  Interval(min(xs), max(xs)),
-                  Interval(min(ys), max(ys)),
-                  Interval(same(lo, lo), same(hi, hi)))
+    return Face2D(I, J, K, verts, dim, _span(I, min(xs), max(xs)),
+                  _span(J, min(ys), max(ys)),
+                  _span(K, same(lo, lo), same(hi, hi)))
+
+
+def _span(whole: Interval, a: QNum, b: QNum) -> Interval:
+    """[a, b] inside ``whole``; ``whole`` itself when they are equal."""
+    return whole if a == whole.a and b == whole.b else Interval(a, b)
 
 
 def _one_dim_faces(points: list[QNum]) -> tuple[Interval, ...]:

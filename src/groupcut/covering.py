@@ -21,7 +21,7 @@ import bisect
 from dataclasses import dataclass
 
 from .additivity import ADDITIVE, AdditivityReport
-from .complex2d import Face2D, Interval
+from .complex2d import Face2D
 from .exactnum import QNum
 
 Span = tuple[QNum, QNum]  # an open interval
@@ -158,9 +158,7 @@ class _UnionFind:
         return True
 
 
-def components(report: AdditivityReport,
-               covered: list[Span] | None = None,
-               moves: list[Move] | None = None) -> CoveringResult:
+def components(report: AdditivityReport) -> CoveringResult:
     """Propagate covering to a fixed point and group pieces by slope."""
     cx = report.complex
     piece_faces = cx.piece_intervals
@@ -175,12 +173,10 @@ def components(report: AdditivityReport,
         return i
 
     covers = [_PieceCover(lo, hi) for lo, hi in piece_spans]
-    if covered is None:
-        covered = directly_covered(report)
+    covered = directly_covered(report)
     for a, b in covered:
         covers[piece_of((a, b))].add(a, b)
-    if moves is None:
-        moves = edge_connections(report)
+    moves = edge_connections(report)
 
     # propagate full source intervals across moves until stable
     changed = True

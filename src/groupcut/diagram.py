@@ -4,12 +4,11 @@ The SVG is presentation only: coordinates are floats rendered with 15
 significant digits, while every element carries the exact strings in
 data- attributes.  The JSON sidecar is the lossless artifact; importing
 it back reconstructs the face classification bit for bit.  Identical
-inputs produce byte-identical output, so diagrams diff cleanly.
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from functools import lru_cache
@@ -96,11 +95,10 @@ def _resolve(fn):
 
 
 def render_svg(fn, *, show_additive: bool = True,
-               show_limit_cones: bool = True, color_by_nf: bool = False,
-               report: AdditivityReport | None = None) -> str:
+               show_limit_cones: bool = True,
+               color_by_nf: bool = False) -> str:
     base, note = _resolve(fn)
-    if report is None:
-        report = additive_face_report(base)
+    report = additive_face_report(base)
     cx = report.complex
     specials = base.special_intervals
     total = _SIZE + 2 * _MARGIN
@@ -187,12 +185,8 @@ def render_svg(fn, *, show_additive: bool = True,
     return "\n".join(out) + "\n"
 
 
-def render_sidecar(fn, report: AdditivityReport | None = None) -> dict:
-    """Exact JSON description of the function and its face classification."""
-    base, note = _resolve(fn)
-    if report is None:
-        report = additive_face_report(base)
-    specials = base.special_intervals
+def _encode_faces(report: AdditivityReport, specials) -> list[dict]:
+    """The face classification as JSON values, numbers as exact strings."""
     text = lru_cache(maxsize=None)(str)  # one string per recurring number
     faces = []
     for cls in report.faces:
@@ -211,6 +205,15 @@ def render_sidecar(fn, report: AdditivityReport | None = None) -> dict:
                 "slack": text(r.slack),
             } for r in cls.slacks],
         })
+    return faces
+
+
+def render_sidecar(fn, report: AdditivityReport | None = None) -> dict:
+    """Exact JSON description of the function and its face classification."""
+    base, note = _resolve(fn)
+    if report is None:
+        report = additive_face_report(base)
+    specials = base.special_intervals
     data = {
         "schema": SCHEMA,
         "function": {
@@ -220,7 +223,7 @@ def render_sidecar(fn, report: AdditivityReport | None = None) -> dict:
                      for r in base.rows],
             "special_intervals": [[str(a), str(b)] for a, b in specials],
         },
-        "faces": faces,
+        "faces": _encode_faces(report, specials),
     }
     if note:
         data["note"] = note
@@ -230,20 +233,14 @@ def render_sidecar(fn, report: AdditivityReport | None = None) -> dict:
 def render_diagram(fn, *, show_additive: bool = True,
                    show_limit_cones: bool = True,
                    color_by_nf: bool = False) -> tuple[str, dict]:
-    base, _ = _resolve(fn)
-    report = additive_face_report(base)
     svg = render_svg(fn, show_additive=show_additive,
                      show_limit_cones=show_limit_cones,
-                     color_by_nf=color_by_nf, report=report)
-    return svg, render_sidecar(fn, report)
+                     color_by_nf=color_by_nf)
+    return svg, render_sidecar(fn)
 
 
 def sidecar_to_json(data: dict) -> str:
-    # chunk by chunk: with an indent, dumps would hold every chunk at once
-    out = io.StringIO()
-    json.dump(data, out, indent=1, sort_keys=True)
-    out.write("\n")
-    return out.getvalue()
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def function_from_sidecar(data: dict) -> PwlFunction:
@@ -261,18 +258,11 @@ def classification_digest(source) -> dict:
     """Canonical face -> classification map, from a report or a sidecar.
 
     Equality of digests is the losslessness check for the JSON export.
+    A report is read through the sidecar's own encoding.
     """
     if isinstance(source, AdditivityReport):
-        out = {}
-        for cls in source.faces:
-            face = cls.face
-            key = (str(face.I.a), str(face.I.b), str(face.J.a),
-                   str(face.J.b), str(face.K.a), str(face.K.b))
-            out[key] = (cls.status,
-                        tuple((str(r.vertex[0]), str(r.vertex[1]),
-                               tuple(r.sides), str(r.slack))
-                              for r in cls.slacks))
-        return out
+        source = {"faces": _encode_faces(source,
+                                         source.fn.special_intervals)}
     out = {}
     for item in source["faces"]:
         key = (item["I"][0], item["I"][1], item["J"][0], item["J"][1],

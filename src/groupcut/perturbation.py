@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exactnum import QNum
-from .pwl import AT, MINUS, PLUS, PwlFunction
-from .additivity import (ADDITIVE, additive_face_report, classify_face,
-                         get_complex, minimality_test, slack_at, vertex_sides)
+from .pwl import AT, PLUS, PwlFunction
+from .additivity import (ADDITIVE, additive_face_report, minimality_test,
+                         vertex_sides)
 from .covering import components as covering_components
 
 SLOPE = "slope"
@@ -115,6 +115,10 @@ class LinearSystem:
 
 
 def drop_one_ranks(system: LinearSystem) -> list[int]:
+    """Rank of the system with each row left out in turn."""
+    if system.rank == system.n_rows:
+        # independent rows stay independent when one of them is dropped
+        return [system.n_rows - 1] * system.n_rows
     return [system.drop_row(i).rank for i in range(system.n_rows)]
 
 
@@ -271,9 +275,8 @@ class _Parametrization:
         return out
 
 
-def _check_slope_classes_covered(fn: PwlFunction, param: _Parametrization):
+def _check_slope_classes_covered(report, param: _Parametrization):
     """The slope classes must coincide with the covering components."""
-    report = additive_face_report(fn)
     result = covering_components(report)
     if len(result.components) != 2:
         raise ValueError(
@@ -315,12 +318,13 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
     if special_intervals is None:
         special_intervals = fn.special_intervals
     param = _Parametrization(fn, special_intervals, eliminate_symmetry)
+    report = additive_face_report(fn)
     if check_covering:
-        _check_slope_classes_covered(fn, param)
+        _check_slope_classes_covered(report, param)
 
     rows = []
     for face, vertex in selected_faces:
-        cls = classify_face(fn, face)
+        cls = report.classification_of(face)
         if cls.status != ADDITIVE:
             raise ValueError(
                 f"selected face {face.label()} is {cls.status}, not additive")
@@ -352,17 +356,6 @@ class EpsilonResult:
     eps: QNum
 
 
-def _vertex_slack_extremes(fn: PwlFunction):
-    cx = get_complex(fn)
-    m = None
-    for face in cx.faces:
-        for vertex in face.vertices:
-            s = slack_at(fn, face, vertex)
-            if s > 0 and (m is None or s < m):
-                m = s
-    return m
-
-
 def lipschitz_epsilon(fn: PwlFunction, pert: PwlFunction) -> EpsilonResult:
     """Scale below which fn +/- eps*pert stays minimal, by slack margins.
 
@@ -381,17 +374,13 @@ def lipschitz_epsilon(fn: PwlFunction, pert: PwlFunction) -> EpsilonResult:
     if not minimality_test(fn):
         raise ValueError("base function is not minimal")
 
-    m = _vertex_slack_extremes(fn)
+    records = [r for fc in additive_face_report(fn).faces for r in fc.slacks]
+    m = min((r.slack for r in records if r.slack > 0), default=None)
     if m is None:
         raise ValueError("base function has no positive vertex slack")
 
-    cx = get_complex(fn)
-    points = {v for face in cx.faces for v in face.vertices}
-    M = QNum(0)
-    for u, v in points:
-        d = abs(pert.eval(u) + pert.eval(v) - pert.eval((u + v).mod1()))
-        if d > M:
-            M = d
+    points = {r.vertex for r in records}
+    M = max(abs(pert.delta(u, v)) for u, v in points)
     if M == 0:
         raise ValueError("perturbation is additive at every complex vertex; "
                          "the bound degenerates")
@@ -415,14 +404,15 @@ def scaling_epsilon(fn: PwlFunction, pert: PwlFunction) -> QNum:
         if not g.is_continuous:
             raise ValueError(f"{what} has jumps; scaling needs continuity")
 
-    from .complex2d import Complex2D
-    merged = sorted(set(fn.breakpoints) | set(pert.breakpoints))
-    cx = Complex2D(merged)
-    points = {v for face in cx.faces for v in face.vertices}
+    # on the common refined complex; for continuous functions a vertex
+    # slack is the plain delta at the vertex, whatever its sides
+    base, bar = (additive_face_report(g) for g in (
+        fn.refine(pert.breakpoints), pert.refine(fn.breakpoints)))
+    slacks = {r1.vertex: (r1.slack, r2.slack)
+              for c1, c2 in zip(base.faces, bar.faces)
+              for r1, r2 in zip(c1.slacks, c2.slacks)}
     best = None
-    for u, v in sorted(points):
-        dpi = fn.delta(u, v)
-        dbar = pert.delta(u, v)
+    for (u, v), (dpi, dbar) in sorted(slacks.items()):
         if dpi == 0 and dbar != 0:
             raise ValueError(
                 f"additivity of the base at ({u},{v}) is not shared by the "

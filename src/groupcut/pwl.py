@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -68,6 +67,7 @@ class PwlFunction:
         self.name = name
         self.special_intervals = si
         self._limit_cache: dict[tuple[QNum, int], QNum] = {}
+        self._analysis = None  # only additive_face_report touches it
 
     # -- construction helpers ----------------------------------------------
 
@@ -158,25 +158,31 @@ class PwlFunction:
 
     # -- pointwise arithmetic -------------------------------------------------
 
-    def _row_at(self, x: QNum) -> BreakpointRow:
-        return BreakpointRow(x, self.limit(x, MINUS), self.limit(x, AT),
-                             self.limit(x, PLUS))
+    def refine(self, points: Iterable[QNum]) -> "PwlFunction":
+        """The same function with breakpoints at ``points`` too.
 
-    def _merged_breakpoints(self, other: "PwlFunction") -> list[QNum]:
-        return sorted(set(self.breakpoints) | set(other.breakpoints))
+        Returns ``self`` when every point already is a breakpoint.
+        """
+        xs = set(self.breakpoints)
+        new = {QNum.of(x) for x in points} - xs
+        if not new:
+            return self
+        rows = [BreakpointRow(x, self.limit(x, MINUS), self.limit(x, AT),
+                              self.limit(x, PLUS))
+                for x in sorted(xs | new)]
+        return PwlFunction(rows, self.f, name=self.name,
+                           special_intervals=self.special_intervals)
 
     def _combine(self, other: "PwlFunction", op) -> "PwlFunction":
         if not isinstance(other, PwlFunction):
             raise TypeError("can only combine with another PwlFunction")
         if self.f != other.f:
             raise ValueError("cannot combine functions with different f")
-        rows = []
-        for x in self._merged_breakpoints(other):
-            a = self._row_at(x)
-            b = other._row_at(x)
-            rows.append(BreakpointRow(x, op(a.left, b.left),
-                                      op(a.value, b.value),
-                                      op(a.right, b.right)))
+        a = self.refine(other.breakpoints)
+        b = other.refine(self.breakpoints)
+        rows = [BreakpointRow(r.x, op(r.left, s.left), op(r.value, s.value),
+                              op(r.right, s.right))
+                for r, s in zip(a.rows, b.rows)]
         return PwlFunction(rows, self.f)
 
     def __add__(self, other):

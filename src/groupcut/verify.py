@@ -16,7 +16,7 @@ from .exactnum import QNum
 from .pwl import PwlFunction, BreakpointRow
 from .complex2d import Interval, centroid, n_f
 from .additivity import (ADDITIVE, additive_face_report, e_containment,
-                         get_complex, minimality_test, slack_at, vertex_sides)
+                         minimality_test, slack_at)
 from .covering import components as covering_components
 from .perturbation import build_system, drop_one_ranks
 from . import catalog
@@ -93,7 +93,7 @@ def verify_psi_separation(psi: PwlFunction | None = None,
 
     # the limit cone pointing northeast from (3/8, 3/8): additive in the
     # limit for psi, strictly positive for psi_prime
-    cx = get_complex(psi)
+    cx = additive_face_report(psi).complex
     h = Fraction(1, 8)
     cone = cx.find_face(Interval(3 * h, 4 * h), Interval(3 * h, 4 * h),
                         Interval(5 * h, 7 * h))
@@ -108,27 +108,26 @@ def verify_psi_separation(psi: PwlFunction | None = None,
             witness=f"cone slacks: psi {s_psi}, psi_prime {s_prime}",
             statistics=stats)
 
-    # psi_bar = psi_prime - psi is not an effective perturbation shape for
-    # psi: some vanishing slack of psi does not vanish for psi_bar
-    psi_bar = psi_prime - psi
-    found = None
-    for face in cx.faces:
-        for v in face.vertices:
-            if slack_at(psi, face, v) == 0 and slack_at(psi_bar, face, v) != 0:
-                found = (face, v)
-                break
-        if found:
-            break
+    # psi_prime - psi is not an effective perturbation shape for psi: some
+    # vanishing slack of psi does not vanish for it.  Slack is linear in
+    # the function, so its slacks are those of psi_prime less those of psi
+    # on the common complex.
+    rep_psi = additive_face_report(psi.refine(psi_prime.breakpoints))
+    rep_prime = additive_face_report(psi_prime.refine(psi.breakpoints))
+    found = next(((c1.face, r1, r2)
+                  for c1, c2 in zip(rep_psi.faces, rep_prime.faces)
+                  for r1, r2 in zip(c1.slacks, c2.slacks)
+                  if r1.slack == 0 and r2.slack != 0), None)
     if found is None:
         return ClaimReport(
             "psi_separation", REFUTED,
             witness="psi_prime - psi vanishes on every vanishing slack of psi",
             statistics=stats)
-    face, v = found
+    face, r1, r2 = found
+    u, v = r1.vertex
     stats["ineffective_witness"] = (
-        f"{face.label()} at ({v[0]},{v[1]}): "
-        f"slack(psi)=0, slack(psi_prime-psi)="
-        f"{slack_at(psi_bar, face, v)}")
+        f"{face.label()} at ({u},{v}): "
+        f"slack(psi)=0, slack(psi_prime-psi)={r2.slack - r1.slack}")
     return ClaimReport("psi_separation", VERIFIED, statistics=stats)
 
 
@@ -157,8 +156,7 @@ def verify_kzh_claim_slacks(fn: PwlFunction | None = None) -> ClaimReport:
                 witness=f"{face.label()} has n_F = {nf}",
                 statistics=stats)
         stats[f"faces_nf_{nf}"] += 1
-        slacks = [rec.slack for rec in cls.slacks]
-        if all(v == 0 for v in slacks):
+        if cls.status == ADDITIVE:
             stats["additive_nf_positive"] += 1
             continue
         bound = nf * s
@@ -173,7 +171,7 @@ def verify_kzh_claim_slacks(fn: PwlFunction | None = None) -> ClaimReport:
                     statistics=stats)
             if rec.slack == bound:
                 tight += 1
-        if tight == len(slacks):
+        if tight == len(cls.slacks):
             return ClaimReport(
                 "kzh_slack_dichotomy", REFUTED,
                 witness=f"{face.label()} has every slack equal to n_F*s",
@@ -260,7 +258,7 @@ def _interval_from_spec(coords, spec) -> Interval:
 def kzh_selected_faces(fn: PwlFunction | None = None):
     """The tabulated (face, vertex) pairs driving the 39-variable system."""
     fn = fn if fn is not None else catalog.kzh_function()
-    cx = get_complex(fn)
+    cx = additive_face_report(fn).complex
     coords = _extended_coords(fn)
     out = []
     for (ispec, jspec, kspec), vertex_fn in _KZH_SELECTED:
@@ -340,7 +338,7 @@ def verify_kzh_perturbation_rank(fn: PwlFunction | None = None) -> ClaimReport:
 def _lifted_face_classes(fn: PwlFunction):
     """The additive faces meeting the special intervals, by construction."""
     p = catalog.kzh_params()
-    cx = get_complex(fn)
+    cx = additive_face_report(fn).complex
     lo = Interval(p.l, p.u)
     hi = Interval(p.f - p.u, p.f - p.l)
     zero = Interval(QNum(0), QNum(0))
@@ -468,13 +466,14 @@ def verify_lifted(fn: PwlFunction | None = None, lifted=None,
     s = p.s
     specials = fn.special_intervals
     report = additive_face_report(fn)
+    nf = {c.face.triple_key: n_f(c.face, specials) for c in report.faces}
     stats = {"nf0_faces": 0, "preserved_faces": 0, "broken_checked": 0,
              "samples": 0}
 
     # (a) faces clear of the special intervals: the lift agrees pointwise
     for cls in report.faces:
         face = cls.face
-        if n_f(face, specials) != 0:
+        if nf[face.triple_key] != 0:
             continue
         stats["nf0_faces"] += 1
         pts = set(face.vertices)
@@ -493,7 +492,7 @@ def verify_lifted(fn: PwlFunction | None = None, lifted=None,
     class_faces = _lifted_face_classes(fn)
     expected = {f.triple_key for _, f in class_faces}
     additive_meeting = {c.face.triple_key for c in report.faces
-                        if n_f(c.face, specials) > 0
+                        if nf[c.face.triple_key] > 0
                         and c.status == ADDITIVE}
     if additive_meeting != expected:
         extra = additive_meeting - expected
@@ -504,18 +503,17 @@ def verify_lifted(fn: PwlFunction | None = None, lifted=None,
                     f"construction: extra {len(extra)}, missing {len(missing)}",
             statistics=stats)
 
-    by_key = {c.face.triple_key: c for c in report.faces}
     coverage = {catalog.FIXED_C: 0, catalog.PLUS_CPLUS: 0, catalog.MINUS: 0}
     min_face_coverage = None
     for tag, face in class_faces:
-        if face.dim != 1 or n_f(face, specials) != 2:
+        if face.dim != 1 or nf[face.triple_key] != 2:
             return ClaimReport(
                 "lifted_preserves_additivity", REFUTED,
                 witness=f"class {tag} face {face.label()} has dim "
-                        f"{face.dim}, n_F {n_f(face, specials)}",
+                        f"{face.dim}, n_F {nf[face.triple_key]}",
                 statistics=stats)
         # vertex limits of the piecewise linear part, with the face's sides
-        if any(r.slack != 0 for r in by_key[face.triple_key].slacks):
+        if report.classification_of(face).status != ADDITIVE:
             return ClaimReport(
                 "lifted_preserves_additivity", REFUTED,
                 witness=f"class {tag} face {face.label()} has a nonzero "
@@ -551,7 +549,7 @@ def verify_lifted(fn: PwlFunction | None = None, lifted=None,
     # subadditive for the lift
     for cls in report.faces:
         face = cls.face
-        if n_f(face, specials) == 0 or cls.status == ADDITIVE:
+        if nf[face.triple_key] == 0 or cls.status == ADDITIVE:
             continue
         if face.dim == 0:
             pts = [face.vertices[0]]

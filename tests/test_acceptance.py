@@ -15,8 +15,7 @@ from fractions import Fraction
 from groupcut.exactnum import QNum, parse_qnum
 from groupcut.pwl import BreakpointRow, PwlFunction, parse_text, to_text
 from groupcut.additivity import (
-    LIMIT_ADDITIVE, additive_face_report, e_containment, get_complex,
-    minimality_test,
+    LIMIT_ADDITIVE, additive_face_report, e_containment, minimality_test,
 )
 from groupcut.covering import components
 from groupcut.perturbation import (
@@ -203,7 +202,7 @@ def test_criterion_03_separation():
     inside = (q(25, 64), q(25, 64))
     for fn, want, tag in ((psi, QNum(0), "psi"), (prime, QNum(1),
                                                   "psi_prime")):
-        cx = get_complex(fn)
+        cx = additive_face_report(fn).complex
         face = cx.face_of_point(*inside)
         if corner not in face.vertices:
             failures.append(f"{tag}: cone cell misses the corner")

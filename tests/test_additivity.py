@@ -5,18 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+from groupcut import additivity
 from groupcut.exactnum import QNum
 from groupcut.pwl import BreakpointRow, PwlFunction
 from groupcut.complex2d import Interval
 from groupcut.additivity import (ADDITIVE, LIMIT_ADDITIVE, NON_ADDITIVE,
                                  additive_face_report, classify_face,
-                                 e_containment, get_complex, minimality_test,
+                                 e_containment, minimality_test,
                                  slack_at, vertex_sides)
 from groupcut.catalog import psi_function, psi_prime_function
+from groupcut.diagram import render_sidecar
 
 from helpers import random_pwl, sampling_minimality_oracle
 
 H = Fraction(1, 2)
+Q = lambda *a: QNum(Fraction(*a))
 
 
 def gmic(f=H) -> PwlFunction:
@@ -25,7 +28,7 @@ def gmic(f=H) -> PwlFunction:
 
 
 def test_vertex_sides_follow_face_projections():
-    cx = get_complex(gmic())
+    cx = additive_face_report(gmic()).complex
     face = cx.find_face(Interval(0, H), Interval(0, H), Interval(0, H))
     # at the corner (0,0): x at its interval minimum, y too, sum too
     assert vertex_sides(face, (QNum(0), QNum(0))) == (1, 1, 1)
@@ -40,7 +43,7 @@ def test_vertex_sides_follow_face_projections():
 
 def test_slack_additive_for_two_slope():
     fn = gmic()
-    cx = get_complex(fn)
+    cx = additive_face_report(fn).complex
     face = cx.find_face(Interval(0, H), Interval(0, H), Interval(0, H))
     for v in face.vertices:
         assert slack_at(fn, face, v) == 0
@@ -96,12 +99,12 @@ def test_report_caching_and_determinism():
 
 
 def test_report_json_is_exact():
-    rep = additive_face_report(gmic())
-    doc = rep.to_json()
-    assert doc["f"] == "1/2"
+    doc = render_sidecar(gmic())
+    assert doc["function"]["f"] == "1/2"
     assert len(doc["faces"]) == 33
     some = doc["faces"][0]
-    assert set(some) == {"face", "status", "slacks"}
+    assert set(some) == {"I", "J", "K", "dim", "status", "n_f", "vertices",
+                         "slacks"}
 
 
 def test_minimality_of_known_functions():
@@ -137,6 +140,41 @@ def test_minimality_failures_are_witnessed():
     r = minimality_test(sub)
     assert not r
     assert r.failure in ("subadditivity", "bounds", "symmetry")
+
+
+def test_minimality_witness_of_a_symmetric_function():
+    fn = PwlFunction.continuous_from_values(
+        [(0, 0), (Fraction(1, 8), Fraction(1, 4)), (Fraction(1, 4), H),
+         (Fraction(3, 8), Fraction(3, 4)), (H, 1), (Fraction(5, 8), 0),
+         (Fraction(3, 4), H), (Fraction(7, 8), 1)], H)
+    r = minimality_test(fn)
+    assert not r and r.failure == "subadditivity"
+    assert r.witness == {"face": "F([0, 1/8], [1/2, 5/8], [5/8, 3/4])",
+                         "vertex": (Q(1, 8), Q(5, 8)), "slack": Q(-1, 4)}
+
+
+def test_minimality_checks_symmetry_before_subadditivity():
+    # neither symmetric nor subadditive: the cheap check answers first
+    fn = PwlFunction.continuous_from_values(
+        [(0, 0), (Fraction(1, 4), Fraction(3, 4)), (H, 1),
+         (Fraction(3, 4), 0)], H)
+    r = minimality_test(fn)
+    assert not r and r.failure == "symmetry"
+
+
+def test_minimality_test_leaves_its_analysis_on_the_function(monkeypatch):
+    built = []
+    real = additivity.AdditivityReport
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(additivity, "AdditivityReport", spy)
+    fn = psi_function().with_name("fresh")
+    assert minimality_test(fn)
+    assert len(built) == 1
+    assert additive_face_report(fn) is built[0]
 
 
 def test_minimality_handles_discontinuous_functions():

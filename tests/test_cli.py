@@ -1,5 +1,6 @@
 """Command line surface: grammar on the wire, exit codes, file output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -220,3 +221,11 @@ def test_eval_at_powers_of_one_minus_sqrt2_exits_promptly(tmp_path):
         done = _run_cli("eval", str(path), str(x))
         assert done.returncode == 0, done.stderr
         assert done.stdout == f"{psi_function().eval(x)}\n"
+
+
+def test_verify_all_json_output_is_pinned():
+    done = _run_cli("verify", "all", "--json")
+    assert done.returncode == 0, done.stderr
+    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+    assert digest == ("c7fb112ec65f59034123c759e65a0a2f"
+                      "991737702fb9f5281addf624a5125eaf")

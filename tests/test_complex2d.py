@@ -129,8 +129,8 @@ def test_ccw_hull_order():
 
 def test_kzh_complex_size():
     from groupcut.catalog import kzh_function
-    from groupcut.additivity import get_complex
-    cx = get_complex(kzh_function())
+    from groupcut.additivity import additive_face_report
+    cx = additive_face_report(kzh_function()).complex
     counts = Counter(f.dim for f in cx.faces)
     assert len(cx.faces) == 18155
     assert counts == {0: 4479, 1: 9077, 2: 4599}

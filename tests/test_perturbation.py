@@ -47,6 +47,26 @@ def test_toy_rank_and_nullity():
     assert drop_one_ranks(sy) == [2, 2, 2]
 
 
+def test_drop_one_ranks_with_a_redundant_row():
+    vs = [PerturbVar("slope", n) for n in "abc"]
+    rows = [("r0", {"a": Q(1)}), ("r1", {"b": Q(1)}), ("r2", {"a": Q(2)}),
+            ("r3", {"c": Q(1)})]
+    sy = LinearSystem(vs, rows)
+    assert sy.rank == 3
+    # r0 and r2 stand in for each other; r1 and r3 are essential
+    assert drop_one_ranks(sy) == [3, 2, 3, 2]
+
+
+def test_drop_one_ranks_of_independent_rows():
+    vs = [PerturbVar("slope", n) for n in "abc"]
+    rows = [("r0", {"a": Q(1), "b": Q(1)}), ("r1", {"b": Q(2)}),
+            ("r2", {"c": Q(1), "a": Q(-1)})]
+    sy = LinearSystem(vs, rows)
+    assert sy.rank == sy.n_rows
+    assert drop_one_ranks(sy) == [sy.drop_row(i).rank for i in range(3)]
+    assert drop_one_ranks(sy) == [2, 2, 2]
+
+
 def test_drop_row_and_dump():
     sy = _toy_system()
     smaller = sy.drop_row(1)

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 from groupcut.exactnum import QNum
+from groupcut.complex2d import Complex2D
+from groupcut.pwl import parse_text, to_text
 from groupcut.catalog import kzh_function, psi_function, psi_prime_function
 from groupcut.verify import (
     REFUTED, VERIFIED, ClaimReport, mutate_value,
@@ -126,3 +128,18 @@ def test_lifted_deviation_attained():
     lo, hi = fn.special_intervals[0]
     lo2, hi2 = fn.special_intervals[1]
     assert (lo < x < hi) or (lo2 < x < hi2)
+
+
+def test_psi_separation_builds_one_complex_per_function(monkeypatch):
+    built = []
+    real = Complex2D.__init__
+
+    def counting(self, breakpoints):
+        built.append(len(breakpoints))
+        real(self, breakpoints)
+
+    monkeypatch.setattr(Complex2D, "__init__", counting)
+    psi, prime = (parse_text(to_text(f()))
+                  for f in (psi_function, psi_prime_function))
+    assert verify_psi_separation(psi, prime)
+    assert len(built) == 2
