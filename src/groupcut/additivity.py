@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .complex2d import Complex2D, Face2D
+from .complex2d import Complex2D, Face2D, n_f
 from .exactnum import QNum
 from .pwl import AT, MINUS, PLUS, PwlFunction
 
@@ -96,6 +96,13 @@ class AdditivityReport:
     fn: PwlFunction
     complex: Complex2D
     faces: tuple[FaceClassification, ...]
+
+    @cached_property
+    def n_f(self) -> tuple[int, ...]:
+        """n_F of each face against the function's special intervals,
+        parallel to ``faces``."""
+        specials = self.fn.special_intervals
+        return tuple(n_f(fc.face, specials) for fc in self.faces)
 
     @cached_property
     def _by_points(self) -> dict:

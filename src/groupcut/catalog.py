@@ -276,21 +276,20 @@ class CosetProfile:
     classification: str  # FIXED_C / PLUS_CPLUS / MINUS
 
 
-def in_group_t(q: QNum, p: KzhParams | None = None) -> bool:
-    """Membership in the additive group generated by t1 and t2.
+def reduced_pair(x: QNum) -> tuple[Rat, Rat]:
+    """Canonical representative of x modulo the group generated by t1, t2.
 
-    t2 is rational and t1 is a rational multiple of sqrt2, so
-    a + b*sqrt2 lies in the group iff a/t2 and b/(t1/sqrt2) are integers.
+    t2 is rational and t1 is a rational multiple of sqrt2, so reducing
+    a + b*sqrt2 componentwise, a mod t2 and b mod t1/sqrt2, gives one pair
+    per coset: two points share a coset iff their reduced pairs are equal.
     """
-    p = p or kzh_params()
-    return ((q.a / p.t2.a).denominator == 1
-            and (q.b / p.t1.b).denominator == 1)
-
-
-def reduced_pair(x: QNum, p: KzhParams | None = None) -> tuple[Rat, Rat]:
-    """Canonical representative of x modulo the group: componentwise mod."""
-    p = p or kzh_params()
+    p = kzh_params()
     return (x.a % p.t2.a, x.b % p.t1.b)
+
+
+def in_group_t(q: QNum) -> bool:
+    """Membership in the additive group generated by t1 and t2."""
+    return reduced_pair(q) == (0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -301,35 +300,38 @@ def _c_representatives() -> tuple[QNum, ...]:
             half - (p.t1 + p.t2) / 2)
 
 
-def coset_classify(x: QNum, p: KzhParams | None = None,
-                   side: str = "lower") -> CosetProfile:
-    """Coset class of a special-interval point.
+@lru_cache(maxsize=None)
+def _c_keys() -> frozenset:
+    """Reduced pairs of the four reflection-fixed cosets, the class C."""
+    return frozenset(map(reduced_pair, _c_representatives()))
 
-    ``side='lower'`` expects x in (l, u); ``side='upper'`` expects x in
-    (f-u, f-l) and classifies its mirror partner f-x.  The class is a
-    coset invariant.  Points in one of the four reflection-fixed cosets
-    form class C; every other coset is swapped with its mirror image by
-    the reflection through (l+u)/2, and the one with the lexicographically
-    smaller reduced pair is designated C-plus.
+
+def coset_classify(x: QNum) -> CosetProfile:
+    """Coset class of a point interior to a special interval.
+
+    A point of (l, u) is classified itself; a point of (f-u, f-l) by its
+    mirror partner f-x.  The class is a coset invariant.  Points in one of
+    the four reflection-fixed cosets form class C; every other coset is
+    swapped with its mirror image by the reflection through (l+u)/2, and
+    the one with the lexicographically smaller reduced pair is designated
+    C-plus.
     """
-    p = p or kzh_params()
+    p = kzh_params()
     y = QNum.of(x)
-    if side == "upper":
+    if p.f - p.u < y < p.f - p.l:
         y = p.f - y
-    elif side != "lower":
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    if not (p.l < y < p.u):
-        raise ValueError(f"{x} is not interior to the special interval")
-    red = reduced_pair(y, p)
-    for c in _c_representatives():
-        if in_group_t(y - c, p):
-            return CosetProfile(red, FIXED_C)
-    mirror = p.l + p.u - y
-    red_m = reduced_pair(mirror, p)
+    elif not (p.l < y < p.u):
+        raise ValueError(f"{x} is not interior to a special interval")
+    red = reduced_pair(y)
+    if red in _c_keys():
+        return CosetProfile(red, FIXED_C)
+    red_m = reduced_pair(p.l + p.u - y)
     # distinct unless the coset is reflection-fixed
     _check(red != red_m, f"{x} has a reflection-fixed coset outside C")
-    cls = PLUS_CPLUS if red < red_m else MINUS
-    return CosetProfile(red, cls)
+    return CosetProfile(red, PLUS_CPLUS if red < red_m else MINUS)
+
+
+_SIGN = {FIXED_C: 0, PLUS_CPLUS: 1, MINUS: -1}
 
 
 class LiftedFunction:
@@ -337,8 +339,8 @@ class LiftedFunction:
 
     sigma(x) is +1 on the C-plus cosets of (l, u), -1 on their mirror
     images, 0 on C and everywhere outside the special intervals; on the
-    mirrored special interval the sign is inherited negated, which makes
-    the symmetry value(x) + value(f-x) = 1 hold identically.
+    mirrored special interval sigma(x) is -sigma(f-x), which makes the
+    symmetry value(x) + value(f-x) = 1 hold identically.
     """
 
     name = "kzh_lifted"
@@ -359,11 +361,9 @@ class LiftedFunction:
         p = self.params
         x = QNum.of(x).mod1()
         if p.l < x < p.u:
-            cls = coset_classify(x, p, "lower").classification
-            return {FIXED_C: 0, PLUS_CPLUS: 1, MINUS: -1}[cls]
+            return _SIGN[coset_classify(x).classification]
         if p.f - p.u < x < p.f - p.l:
-            cls = coset_classify(x, p, "upper").classification
-            return -{FIXED_C: 0, PLUS_CPLUS: 1, MINUS: -1}[cls]
+            return -self.sigma(p.f - x)
         return 0
 
     def eval(self, x) -> QNum:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .exactnum import QNum, parse_qnum
 from .pwl import PwlFunction, BreakpointRow
-from .complex2d import centroid, ccw_hull_order, n_f
+from .complex2d import centroid, ccw_hull_order
 from .additivity import (ADDITIVE, LIMIT_ADDITIVE, AdditivityReport,
                          additive_face_report)
 
@@ -100,7 +100,6 @@ def render_svg(fn, *, show_additive: bool = True,
     base, note = _resolve(fn)
     report = additive_face_report(base)
     cx = report.complex
-    specials = base.special_intervals
     total = _SIZE + 2 * _MARGIN
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(total)}" '
@@ -111,11 +110,10 @@ def render_svg(fn, *, show_additive: bool = True,
     ]
 
     if color_by_nf:
-        for cls in report.faces:
+        for cls, nf in zip(report.faces, report.n_f):
             face = cls.face
             if face.dim != 2:
                 continue
-            nf = n_f(face, specials)
             out.append(
                 f'<polygon points="{_polygon_points(face.vertices)}" '
                 f'fill="{_NF_FILL.get(nf, _NF_FILL[2])}" stroke="none" '
@@ -185,11 +183,11 @@ def render_svg(fn, *, show_additive: bool = True,
     return "\n".join(out) + "\n"
 
 
-def _encode_faces(report: AdditivityReport, specials) -> list[dict]:
+def _encode_faces(report: AdditivityReport) -> list[dict]:
     """The face classification as JSON values, numbers as exact strings."""
     text = lru_cache(maxsize=None)(str)  # one string per recurring number
     faces = []
-    for cls in report.faces:
+    for cls, nf in zip(report.faces, report.n_f):
         face = cls.face
         faces.append({
             "I": [text(face.I.a), text(face.I.b)],
@@ -197,7 +195,7 @@ def _encode_faces(report: AdditivityReport, specials) -> list[dict]:
             "K": [text(face.K.a), text(face.K.b)],
             "dim": face.dim,
             "status": cls.status,
-            "n_f": n_f(face, specials),
+            "n_f": nf,
             "vertices": [[text(u), text(v)] for (u, v) in face.vertices],
             "slacks": [{
                 "vertex": [text(r.vertex[0]), text(r.vertex[1])],
@@ -223,7 +221,7 @@ def render_sidecar(fn, report: AdditivityReport | None = None) -> dict:
                      for r in base.rows],
             "special_intervals": [[str(a), str(b)] for a, b in specials],
         },
-        "faces": _encode_faces(report, specials),
+        "faces": _encode_faces(report),
     }
     if note:
         data["note"] = note
@@ -261,8 +259,7 @@ def classification_digest(source) -> dict:
     A report is read through the sidecar's own encoding.
     """
     if isinstance(source, AdditivityReport):
-        source = {"faces": _encode_faces(source,
-                                         source.fn.special_intervals)}
+        source = {"faces": _encode_faces(source)}
     out = {}
     for item in source["faces"]:
         key = (item["I"][0], item["I"][1], item["J"][0], item["J"][1],

@@ -315,8 +315,6 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
     per pair, plus explicit symmetry rows when ``eliminate_symmetry`` is
     off.
     """
-    if special_intervals is None:
-        special_intervals = fn.special_intervals
     param = _Parametrization(fn, special_intervals, eliminate_symmetry)
     report = additive_face_report(fn)
     if check_covering:

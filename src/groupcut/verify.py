@@ -1,9 +1,8 @@
 """Machine checks for the headline claims about the built-in functions.
 
 Each suite returns a ClaimReport.  A report is *verified* when every
-sub-check passed, *refuted* with a witness string when an exact
-computation contradicts the claim, and *skipped* only when a programmatic
-precondition makes the check inapplicable.  All checks are deterministic;
+sub-check passed, and *refuted* with a witness string when an exact
+computation contradicts the claim.  All checks are deterministic;
 sampling uses fixed rational lattices, never floating point.
 """
 
@@ -11,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 
 from .exactnum import QNum
 from .pwl import PwlFunction, BreakpointRow
@@ -23,7 +23,6 @@ from . import catalog
 
 VERIFIED = "verified"
 REFUTED = "refuted"
-SKIPPED = "skipped"
 
 
 @dataclass
@@ -51,6 +50,31 @@ class ClaimReport:
                                for k, v in self.statistics.items()}}
 
 
+class Refuted(Exception):
+    """Raised by a suite's check when an exact computation contradicts
+    the claim; the message is the witness."""
+
+
+def _suite(claim: str):
+    """Turn check(stats, *args) into suite(*args) returning a ClaimReport.
+
+    The check fills ``stats`` as it goes and raises Refuted(witness) on the
+    first contradiction; the refuted report then carries the statistics
+    gathered up to that point.
+    """
+    def decorate(check):
+        @wraps(check)
+        def suite(*args, **kwargs) -> ClaimReport:
+            stats = {}
+            try:
+                check(stats, *args, **kwargs)
+            except Refuted as exc:
+                return ClaimReport(claim, REFUTED, str(exc), stats)
+            return ClaimReport(claim, VERIFIED, statistics=stats)
+        return suite
+    return decorate
+
+
 def mutate_value(fn: PwlFunction, row: int,
                  delta=Fraction(1, 10**6)) -> PwlFunction:
     """Copy of fn with one table value nudged; used as a negative control."""
@@ -64,23 +88,21 @@ def mutate_value(fn: PwlFunction, row: int,
 # -- suite 1: the separation example -----------------------------------------
 
 
-def verify_psi_separation(psi: PwlFunction | None = None,
-                          psi_prime: PwlFunction | None = None) -> ClaimReport:
+@_suite("psi_separation")
+def verify_psi_separation(stats, psi: PwlFunction | None = None,
+                          psi_prime: PwlFunction | None = None):
     """psi and psi_prime are minimal, share all additivities of psi, and
     psi_prime has strictly more; the gap shows up in the northeast limit
     cone and makes their difference ineffective as a perturbation."""
     psi = psi if psi is not None else catalog.psi_function()
     psi_prime = (psi_prime if psi_prime is not None
                  else catalog.psi_prime_function())
-    stats = {}
 
     for fn, tag in ((psi, "psi"), (psi_prime, "psi_prime")):
         rep = minimality_test(fn)
         stats[f"minimal_{tag}"] = bool(rep)
         if not rep:
-            return ClaimReport("psi_separation", REFUTED,
-                               witness=f"{tag} not minimal: {rep}",
-                               statistics=stats)
+            raise Refuted(f"{tag} not minimal: {rep}")
 
     rel = e_containment(psi, psi_prime)
     stats["containment"] = rel.relation
@@ -88,8 +110,7 @@ def verify_psi_separation(psi: PwlFunction | None = None,
         wit = f"e_containment(psi, psi_prime) = {rel.relation}"
         if rel.witness_only_in_first is not None:
             wit += f"; only in psi: {rel.witness_only_in_first.label()}"
-        return ClaimReport("psi_separation", REFUTED, witness=wit,
-                           statistics=stats)
+        raise Refuted(wit)
 
     # the limit cone pointing northeast from (3/8, 3/8): additive in the
     # limit for psi, strictly positive for psi_prime
@@ -103,10 +124,7 @@ def verify_psi_separation(psi: PwlFunction | None = None,
     stats["cone_slack_psi"] = str(s_psi)
     stats["cone_slack_psi_prime"] = str(s_prime)
     if s_psi != 0 or s_prime <= 0:
-        return ClaimReport(
-            "psi_separation", REFUTED,
-            witness=f"cone slacks: psi {s_psi}, psi_prime {s_prime}",
-            statistics=stats)
+        raise Refuted(f"cone slacks: psi {s_psi}, psi_prime {s_prime}")
 
     # psi_prime - psi is not an effective perturbation shape for psi: some
     # vanishing slack of psi does not vanish for it.  Slack is linear in
@@ -119,42 +137,35 @@ def verify_psi_separation(psi: PwlFunction | None = None,
                   for r1, r2 in zip(c1.slacks, c2.slacks)
                   if r1.slack == 0 and r2.slack != 0), None)
     if found is None:
-        return ClaimReport(
-            "psi_separation", REFUTED,
-            witness="psi_prime - psi vanishes on every vanishing slack of psi",
-            statistics=stats)
+        raise Refuted(
+            "psi_prime - psi vanishes on every vanishing slack of psi")
     face, r1, r2 = found
     u, v = r1.vertex
     stats["ineffective_witness"] = (
         f"{face.label()} at ({u},{v}): "
         f"slack(psi)=0, slack(psi_prime-psi)={r2.slack - r1.slack}")
-    return ClaimReport("psi_separation", VERIFIED, statistics=stats)
 
 
 # -- suite 2: slack dichotomy near the special intervals ----------------------
 
 
-def verify_kzh_claim_slacks(fn: PwlFunction | None = None) -> ClaimReport:
+@_suite("kzh_slack_dichotomy")
+def verify_kzh_claim_slacks(stats, fn: PwlFunction | None = None):
     """Faces touching the special intervals have all-zero vertex slacks or
     slacks at least n_F * s; ties happen only when one projection meets a
     special interval, and then every other slack is at least 3s."""
     fn = fn if fn is not None else catalog.kzh_function()
     s = catalog.kzh_params().s
-    specials = fn.special_intervals
     report = additive_face_report(fn)
-    stats = {"faces_nf_1": 0, "faces_nf_2": 0, "additive_nf_positive": 0,
-             "tight_vertices": 0}
+    stats.update(faces_nf_1=0, faces_nf_2=0, additive_nf_positive=0,
+                 tight_vertices=0)
 
-    for cls in report.faces:
+    for cls, nf in zip(report.faces, report.n_f):
         face = cls.face
-        nf = n_f(face, specials)
         if nf == 0:
             continue
         if nf >= 3:
-            return ClaimReport(
-                "kzh_slack_dichotomy", REFUTED,
-                witness=f"{face.label()} has n_F = {nf}",
-                statistics=stats)
+            raise Refuted(f"{face.label()} has n_F = {nf}")
         stats[f"faces_nf_{nf}"] += 1
         if cls.status == ADDITIVE:
             stats["additive_nf_positive"] += 1
@@ -163,34 +174,21 @@ def verify_kzh_claim_slacks(fn: PwlFunction | None = None) -> ClaimReport:
         tight = 0
         for rec in cls.slacks:
             if rec.slack < bound:
-                return ClaimReport(
-                    "kzh_slack_dichotomy", REFUTED,
-                    witness=(f"{face.label()} vertex "
-                             f"({rec.vertex[0]},{rec.vertex[1]}) slack "
-                             f"{rec.slack} < n_F*s = {bound}"),
-                    statistics=stats)
+                raise Refuted(f"{face.label()} vertex "
+                              f"({rec.vertex[0]},{rec.vertex[1]}) slack "
+                              f"{rec.slack} < n_F*s = {bound}")
             if rec.slack == bound:
                 tight += 1
         if tight == len(cls.slacks):
-            return ClaimReport(
-                "kzh_slack_dichotomy", REFUTED,
-                witness=f"{face.label()} has every slack equal to n_F*s",
-                statistics=stats)
+            raise Refuted(f"{face.label()} has every slack equal to n_F*s")
         if tight:
             stats["tight_vertices"] += tight
             if nf != 1:
-                return ClaimReport(
-                    "kzh_slack_dichotomy", REFUTED,
-                    witness=f"{face.label()} is tight with n_F = {nf}",
-                    statistics=stats)
+                raise Refuted(f"{face.label()} is tight with n_F = {nf}")
             for rec in cls.slacks:
                 if rec.slack != bound and rec.slack < 3 * s:
-                    return ClaimReport(
-                        "kzh_slack_dichotomy", REFUTED,
-                        witness=(f"{face.label()} mixes a tight vertex with "
-                                 f"slack {rec.slack} < 3s"),
-                        statistics=stats)
-    return ClaimReport("kzh_slack_dichotomy", VERIFIED, statistics=stats)
+                    raise Refuted(f"{face.label()} mixes a tight vertex "
+                                  f"with slack {rec.slack} < 3s")
 
 
 # -- suite 3: the finite-dimensional perturbation system ----------------------
@@ -255,9 +253,8 @@ def _interval_from_spec(coords, spec) -> Interval:
     return Interval(coords[spec[0]], coords[spec[1]])
 
 
-def kzh_selected_faces(fn: PwlFunction | None = None):
+def kzh_selected_faces(fn: PwlFunction):
     """The tabulated (face, vertex) pairs driving the 39-variable system."""
-    fn = fn if fn is not None else catalog.kzh_function()
     cx = additive_face_report(fn).complex
     coords = _extended_coords(fn)
     out = []
@@ -270,12 +267,12 @@ def kzh_selected_faces(fn: PwlFunction | None = None):
     return out
 
 
-def verify_kzh_perturbation_rank(fn: PwlFunction | None = None) -> ClaimReport:
+@_suite("kzh_perturbation_rank")
+def verify_kzh_perturbation_rank(stats, fn: PwlFunction | None = None):
     """Outside its special intervals the function is rigid: the covering has
     two slope components, and the selected additive faces force every
     perturbation variable to zero, each equation being essential."""
     fn = fn if fn is not None else catalog.kzh_function()
-    stats = {}
 
     report = additive_face_report(fn)
     result = covering_components(report)
@@ -284,52 +281,40 @@ def verify_kzh_perturbation_rank(fn: PwlFunction | None = None) -> ClaimReport:
     expected_uncovered = [(QNum.of(a), QNum.of(b))
                           for a, b in fn.special_intervals]
     if len(result.components) != 2:
-        return ClaimReport("kzh_perturbation_rank", REFUTED,
-                           witness=f"{len(result.components)} covering "
-                                   f"components instead of 2",
-                           statistics=stats)
+        raise Refuted(f"{len(result.components)} covering components "
+                      f"instead of 2")
     if list(result.uncovered) != expected_uncovered:
-        return ClaimReport("kzh_perturbation_rank", REFUTED,
-                           witness=f"uncovered {stats['uncovered']} is not "
-                                   f"the special intervals",
-                           statistics=stats)
+        raise Refuted(f"uncovered {stats['uncovered']} is not the special "
+                      f"intervals")
 
     try:
         selected = kzh_selected_faces(fn)
         system = build_system(fn, fn.special_intervals, selected)
     except ValueError as exc:
-        return ClaimReport("kzh_perturbation_rank", REFUTED,
-                           witness=str(exc), statistics=stats)
+        raise Refuted(str(exc)) from exc
     stats["n_vars"] = system.n_vars
     stats["n_rows"] = system.n_rows
     stats["rank"] = system.rank
     stats["nullity"] = system.nullspace_dim
     if system.n_vars != 39 or system.rank != 39:
-        return ClaimReport("kzh_perturbation_rank", REFUTED,
-                           witness=f"rank {system.rank} of {system.n_vars} "
-                                   f"variables; expected full rank 39",
-                           statistics=stats)
+        raise Refuted(f"rank {system.rank} of {system.n_vars} variables; "
+                      f"expected full rank 39")
 
     ranks = drop_one_ranks(system)
     stats["drop_one_ranks"] = sorted(set(ranks))
     if any(r != 38 for r in ranks):
         bad = next(i for i, r in enumerate(ranks) if r != 38)
-        return ClaimReport("kzh_perturbation_rank", REFUTED,
-                           witness=f"dropping row {bad} "
-                                   f"({system.rows[bad][0]}) leaves rank "
-                                   f"{ranks[bad]}, so it was redundant",
-                           statistics=stats)
+        raise Refuted(f"dropping row {bad} ({system.rows[bad][0]}) leaves "
+                      f"rank {ranks[bad]}, so it was redundant")
 
+    # the first system already matched the covering to the slope classes
     full = build_system(fn, fn.special_intervals, selected,
-                        eliminate_symmetry=False)
+                        eliminate_symmetry=False, check_covering=False)
     stats["full_n_vars"] = full.n_vars
     stats["full_nullity"] = full.nullspace_dim
     if full.nullspace_dim != 0:
-        return ClaimReport("kzh_perturbation_rank", REFUTED,
-                           witness=f"without symmetry elimination the "
-                                   f"nullity is {full.nullspace_dim}",
-                           statistics=stats)
-    return ClaimReport("kzh_perturbation_rank", VERIFIED, statistics=stats)
+        raise Refuted(f"without symmetry elimination the nullity is "
+                      f"{full.nullspace_dim}")
 
 
 # -- suite 4: the lifted function ----------------------------------------------
@@ -365,11 +350,13 @@ def _lifted_face_classes(fn: PwlFunction):
 def _special_class(t, p) -> str | None:
     """Coset class of a point interior to either special interval."""
     t = QNum.of(t).mod1()
-    if p.l < t < p.u:
-        return catalog.coset_classify(t, p, "lower").classification
-    if p.f - p.u < t < p.f - p.l:
-        return catalog.coset_classify(t, p, "upper").classification
+    if p.l < t < p.u or p.f - p.u < t < p.f - p.l:
+        return catalog.coset_classify(t).classification
     return None
+
+
+# the least number of sampled points of each coset class on a lifted face
+MIN_PER_CLASS = 100
 
 
 def _fixed_coset_points(lo: QNum, hi: QNum, p, reps) -> list[QNum]:
@@ -391,13 +378,14 @@ def _fixed_coset_points(lo: QNum, hi: QNum, p, reps) -> list[QNum]:
     return out
 
 
-def _face_samples(face, p, min_per_class: int):
+def _face_samples(face, p):
     """Deterministic relint points of a 1-dim face, stratified by coset.
 
     Combines points aimed exactly at the reflection-fixed cosets of both
     special intervals (rational grids never land in those measure-zero
     families) with uniform rational grids that populate the two free
-    classes.  Returns the distinct samples and the per-class hit counts.
+    classes until each has MIN_PER_CLASS hits.  Returns the distinct
+    samples and the per-class hit counts.
     """
     (x0, y0), (x1, y1) = face.vertices[0], face.vertices[-1]
     lower_reps = catalog._c_representatives()
@@ -440,12 +428,12 @@ def _face_samples(face, p, min_per_class: int):
                     if 0 < t < 1:
                         add(t)
 
-    grid = max(2 * min_per_class, 64)
+    grid = max(2 * MIN_PER_CLASS, 64)
     for _ in range(4):
         for k in range(1, grid + 1):
             add(QNum(Fraction(k, grid + 1)))
-        if (counts[catalog.PLUS_CPLUS] >= min_per_class
-                and counts[catalog.MINUS] >= min_per_class):
+        if (counts[catalog.PLUS_CPLUS] >= MIN_PER_CLASS
+                and counts[catalog.MINUS] >= MIN_PER_CLASS):
             break
         grid = 2 * grid + 1
     return samples, counts
@@ -455,90 +443,73 @@ def _lifted_delta(lifted, u: QNum, v: QNum) -> QNum:
     return lifted(u) + lifted(v) - lifted((u + v).mod1())
 
 
-def verify_lifted(fn: PwlFunction | None = None, lifted=None,
-                  min_per_class: int = 100) -> ClaimReport:
+@_suite("lifted_preserves_additivity")
+def verify_lifted(stats, fn: PwlFunction | None = None):
     """The lifted function changes values only on the special intervals,
     keeps every additivity of the base exactly, creates none, stays
     symmetric, and differs from the base by at most s with equality hit."""
     fn = fn if fn is not None else catalog.kzh_function()
-    lifted = lifted if lifted is not None else catalog.lifted_function()
+    lifted = catalog.lifted_function()
     p = lifted.params
     s = p.s
-    specials = fn.special_intervals
     report = additive_face_report(fn)
-    nf = {c.face.triple_key: n_f(c.face, specials) for c in report.faces}
-    stats = {"nf0_faces": 0, "preserved_faces": 0, "broken_checked": 0,
-             "samples": 0}
+    stats.update(nf0_faces=0, preserved_faces=0, broken_checked=0,
+                 samples=0)
 
-    # (a) faces clear of the special intervals: the lift agrees pointwise
-    for cls in report.faces:
-        face = cls.face
-        if nf[face.triple_key] != 0:
+    # (a) faces clear of the special intervals: the lift agrees pointwise;
+    # sigma is asked once per coordinate, named with the first face giving it
+    seen = set()
+    for cls, nf in zip(report.faces, report.n_f):
+        if nf != 0:
             continue
+        face = cls.face
         stats["nf0_faces"] += 1
         pts = set(face.vertices)
         if face.dim > 0:
             pts.add(centroid(face.vertices))
         for (u, v) in pts:
             for t in (u, v, (u + v).mod1()):
+                if t in seen:
+                    continue
+                seen.add(t)
                 if lifted.sigma(t) != 0:
-                    return ClaimReport(
-                        "lifted_preserves_additivity", REFUTED,
-                        witness=f"sigma({t}) != 0 outside the special "
-                                f"intervals (face {face.label()})",
-                        statistics=stats)
+                    raise Refuted(f"sigma({t}) != 0 outside the special "
+                                  f"intervals (face {face.label()})")
 
     # (b) the tabulated additive face classes: lift stays exactly additive
     class_faces = _lifted_face_classes(fn)
     expected = {f.triple_key for _, f in class_faces}
-    additive_meeting = {c.face.triple_key for c in report.faces
-                        if nf[c.face.triple_key] > 0
-                        and c.status == ADDITIVE}
+    additive_meeting = {c.face.triple_key
+                        for c, nf in zip(report.faces, report.n_f)
+                        if nf > 0 and c.status == ADDITIVE}
     if additive_meeting != expected:
         extra = additive_meeting - expected
         missing = expected - additive_meeting
-        return ClaimReport(
-            "lifted_preserves_additivity", REFUTED,
-            witness=f"additive faces meeting the specials do not match the "
-                    f"construction: extra {len(extra)}, missing {len(missing)}",
-            statistics=stats)
+        raise Refuted(f"additive faces meeting the specials do not match "
+                      f"the construction: extra {len(extra)}, missing "
+                      f"{len(missing)}")
 
     coverage = {catalog.FIXED_C: 0, catalog.PLUS_CPLUS: 0, catalog.MINUS: 0}
     min_face_coverage = None
     for tag, face in class_faces:
-        if face.dim != 1 or nf[face.triple_key] != 2:
-            return ClaimReport(
-                "lifted_preserves_additivity", REFUTED,
-                witness=f"class {tag} face {face.label()} has dim "
-                        f"{face.dim}, n_F {nf[face.triple_key]}",
-                statistics=stats)
-        # vertex limits of the piecewise linear part, with the face's sides
-        if report.classification_of(face).status != ADDITIVE:
-            return ClaimReport(
-                "lifted_preserves_additivity", REFUTED,
-                witness=f"class {tag} face {face.label()} has a nonzero "
-                        f"vertex limit slack",
-                statistics=stats)
-        samples, counts = _face_samples(face, p, min_per_class)
+        nf = n_f(face, fn.special_intervals)
+        if face.dim != 1 or nf != 2:
+            raise Refuted(f"class {tag} face {face.label()} has dim "
+                          f"{face.dim}, n_F {nf}")
+        samples, counts = _face_samples(face, p)
         for (u, v) in samples:
             d = _lifted_delta(lifted, u, v)
             stats["samples"] += 1
             if d != 0:
-                return ClaimReport(
-                    "lifted_preserves_additivity", REFUTED,
-                    witness=f"class {tag} face {face.label()} at "
-                            f"({u},{v}): lifted delta {d}",
-                    statistics=stats)
+                raise Refuted(f"class {tag} face {face.label()} at "
+                              f"({u},{v}): lifted delta {d}")
         low = min(counts.values())
         if min_face_coverage is None or low < min_face_coverage:
             min_face_coverage = low
-        if low < min_per_class:
-            return ClaimReport(
-                "lifted_preserves_additivity", REFUTED,
-                witness=f"sampler covered some coset class fewer than "
-                        f"{min_per_class} times on face {face.label()}: "
-                        f"{counts}",
-                statistics=stats)
+        if low < MIN_PER_CLASS:
+            raise Refuted(f"sampler covered some coset class fewer than "
+                          f"{MIN_PER_CLASS} times on face {face.label()}: "
+                          f"{counts}")
         for cls_, cnt in counts.items():
             coverage[cls_] += cnt
         stats["preserved_faces"] += 1
@@ -547,10 +518,10 @@ def verify_lifted(fn: PwlFunction | None = None, lifted=None,
 
     # (c) faces meeting the specials that are not additive stay strictly
     # subadditive for the lift
-    for cls in report.faces:
-        face = cls.face
-        if nf[face.triple_key] == 0 or cls.status == ADDITIVE:
+    for cls, nf in zip(report.faces, report.n_f):
+        if nf == 0 or cls.status == ADDITIVE:
             continue
+        face = cls.face
         if face.dim == 0:
             pts = [face.vertices[0]]
         else:
@@ -562,11 +533,8 @@ def verify_lifted(fn: PwlFunction | None = None, lifted=None,
             d = _lifted_delta(lifted, u, v)
             stats["broken_checked"] += 1
             if d <= 0:
-                return ClaimReport(
-                    "lifted_preserves_additivity", REFUTED,
-                    witness=f"non-additive face {face.label()} at "
-                            f"({u},{v}): lifted delta {d} <= 0",
-                    statistics=stats)
+                raise Refuted(f"non-additive face {face.label()} at "
+                              f"({u},{v}): lifted delta {d} <= 0")
 
     # (d) symmetry and (e) the lift moves values, but never farther than s
     max_dev = QNum(0)
@@ -576,34 +544,23 @@ def verify_lifted(fn: PwlFunction | None = None, lifted=None,
     mid = (p.l + p.u) / 2
     probes += [mid + t1 * i + t2 * j
                for i in range(-3, 4) for j in range(-3, 4)]
-    probes += [x for x, _ in ((r.x, 0) for r in fn.rows)]
+    probes += [r.x for r in fn.rows]
     for x in probes:
         x = x.mod1()
         sym = lifted(x) + lifted((p.f - x).mod1())
         if sym != 1 and x != 0 and (p.f - x).mod1() != 0:
-            return ClaimReport(
-                "lifted_preserves_additivity", REFUTED,
-                witness=f"symmetry fails at {x}: sum {sym}",
-                statistics=stats)
+            raise Refuted(f"symmetry fails at {x}: sum {sym}")
         dev = abs(lifted(x) - fn.eval(x))
         if dev > s:
-            return ClaimReport(
-                "lifted_preserves_additivity", REFUTED,
-                witness=f"|lift - base| = {dev} > s at {x}",
-                statistics=stats)
+            raise Refuted(f"|lift - base| = {dev} > s at {x}")
         if dev > max_dev:
             max_dev = dev
             if dev == s and witness_ne is None:
                 witness_ne = str(x)
     stats["max_deviation"] = str(max_dev)
     if max_dev != s:
-        return ClaimReport(
-            "lifted_preserves_additivity", REFUTED,
-            witness=f"maximal deviation {max_dev} never reaches s = {s}",
-            statistics=stats)
+        raise Refuted(f"maximal deviation {max_dev} never reaches s = {s}")
     stats["deviation_witness"] = witness_ne
-    return ClaimReport("lifted_preserves_additivity", VERIFIED,
-                       statistics=stats)
 
 
 def verify_all() -> list[ClaimReport]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from groupcut.exactnum import QNum
@@ -304,3 +305,23 @@ def pair_floor(x) -> int:
     while pair_sign((a - n - 1, b)) >= 0:
         n += 1
     return n
+
+
+# -- the mutation controls of the four claim suites ---------------------------
+
+
+@lru_cache(maxsize=None)
+def mutation_control_reports():
+    """The four suites' reports under a 1/10^6 nudge of one table value:
+    psi row 2 for the separation, kzh row 17 for the slacks, and one kzh
+    row 6 copy shared by the rank and lifted suites."""
+    from groupcut.catalog import kzh_function, psi_function
+    from groupcut.verify import (
+        mutate_value, verify_kzh_claim_slacks, verify_kzh_perturbation_rank,
+        verify_lifted, verify_psi_separation)
+    delta = Fraction(1, 10**6)
+    bad6 = mutate_value(kzh_function(), 6, delta)
+    return (verify_psi_separation(psi=mutate_value(psi_function(), 2, delta)),
+            verify_kzh_claim_slacks(mutate_value(kzh_function(), 17, delta)),
+            verify_kzh_perturbation_rank(bad6),
+            verify_lifted(fn=bad6))

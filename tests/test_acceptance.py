@@ -25,13 +25,12 @@ from groupcut.catalog import (
     kzh_function, kzh_params, psi_function, psi_prime_function,
 )
 from groupcut.verify import (
-    mutate_value, verify_kzh_claim_slacks, verify_kzh_perturbation_rank,
-    verify_lifted, verify_psi_separation,
+    verify_kzh_claim_slacks, verify_kzh_perturbation_rank, verify_lifted,
 )
 
 from helpers import (
-    gap_instance_holds, midpoint_pair, random_gap_instance, random_pwl,
-    sampling_minimality_oracle,
+    gap_instance_holds, midpoint_pair, mutation_control_reports,
+    random_gap_instance, random_pwl, sampling_minimality_oracle,
 )
 
 
@@ -257,7 +256,7 @@ def test_criterion_05_perturbation_rank():
 
 def test_criterion_06_lifting():
     failures = []
-    rep = verify_lifted(min_per_class=100)
+    rep = verify_lifted()
     if not rep:
         failures.append(f"suite refuted: {rep.witness}")
     st = rep.statistics
@@ -331,20 +330,14 @@ def test_criterion_09_oracle_agreement():
 
 def test_criterion_10_negative_controls():
     failures = []
-    delta = Fraction(1, 10**6)
-
-    bad_psi = mutate_value(psi_function(), 2, delta)
-    if verify_psi_separation(psi=bad_psi):
+    psi_rep, slack_rep, rank_rep, lifted_rep = mutation_control_reports()
+    if psi_rep:
         failures.append("separation suite survived a mutated psi")
-
-    bad17 = mutate_value(kzh_function(), 17, delta)
-    if verify_kzh_claim_slacks(bad17):
+    if slack_rep:
         failures.append("slack suite survived a mutated row 17")
-
-    bad6 = mutate_value(kzh_function(), 6, delta)
-    if verify_kzh_perturbation_rank(bad6):
+    if rank_rep:
         failures.append("rank suite survived a mutated row 6")
-    if verify_lifted(fn=bad6):
+    if lifted_rep:
         failures.append("lifting suite survived a mutated row 6")
     _report(10, "each suite flips to refuted under a 1/10^6 mutation",
             failures)

@@ -107,6 +107,21 @@ def test_report_json_is_exact():
                          "slacks"}
 
 
+
+def test_n_f_is_computed_once_per_face(monkeypatch):
+    calls = []
+    real = additivity.n_f
+    monkeypatch.setattr(additivity, "n_f",
+                        lambda face, sp: calls.append(face) or real(face, sp))
+    fn = psi_function().with_special_intervals(((Q(1, 8), Q(3, 8)),))
+    rep = additive_face_report(fn)
+    assert rep.n_f == tuple(real(fc.face, fn.special_intervals)
+                            for fc in rep.faces)
+    assert set(rep.n_f) == {0, 1, 2, 3}
+    render_sidecar(fn)
+    assert rep.n_f is additive_face_report(fn).n_f
+    assert len(calls) == len(rep.faces)
+
 def test_minimality_of_known_functions():
     assert minimality_test(gmic())
     assert minimality_test(gmic(Fraction(4, 5)))

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupcut.exactnum import QNum
 import groupcut.catalog as cat
@@ -154,7 +155,7 @@ def test_coset_classes_and_mirror():
     for x, want in cases:
         assert coset_classify(x).classification == want
         # the mirror point keeps its coset label on the reflected interval
-        assert coset_classify(p.f - x, side="upper").classification == want
+        assert coset_classify(p.f - x).classification == want
 
 
 def test_coset_classify_rejects_boundary_and_outside():
@@ -162,10 +163,83 @@ def test_coset_classify_rejects_boundary_and_outside():
     with pytest.raises(ValueError):
         coset_classify(p.l)
     with pytest.raises(ValueError):
-        coset_classify(p.u, side="lower")
+        coset_classify(p.u)
     with pytest.raises(ValueError):
         coset_classify(Q(1, 10))
 
+
+
+# the coset key against its definition: y and c share a coset iff
+# (y - c).a / t2 and (y - c).b / (t1/sqrt2) are integers
+
+def _same_coset(y, c):
+    p = kzh_params()
+    d = y - c
+    return ((d.a / p.t2.a).denominator == 1
+            and (d.b / p.t1.b).denominator == 1)
+
+
+def _reference_class(x):
+    p = kzh_params()
+    y = x if p.l < x < p.u else p.f - x
+    half = (p.l + p.u) / 2
+    reps = (half, half - p.t1 / 2, half - p.t2 / 2,
+            half - (p.t1 + p.t2) / 2)
+    if any(_same_coset(y, c) for c in reps):
+        return FIXED_C
+    key = lambda z: (z.a % p.t2.a, z.b % p.t1.b)
+    return PLUS_CPLUS if key(y) < key(p.l + p.u - y) else MINUS
+
+
+def _lattice_points():
+    """c + i*t1 + j*t2 inside (l, u), |i| <= 60, |j| <= 8, with mirrors."""
+    p = kzh_params()
+    half = (p.l + p.u) / 2
+    bases = [half, half - p.t1 / 2, half - p.t2 / 2,
+             half - (p.t1 + p.t2) / 2,
+             p.l + Q(1, 997), half + QNum(0, Fraction(1, 7919)),
+             p.l + QNum(Fraction(1, 50), Fraction(-1, 100))]
+    out = []
+    for c in bases:
+        for i in range(-60, 61):
+            for j in range(-8, 9):
+                x = c + p.t1 * i + p.t2 * j
+                if p.l < x < p.u:
+                    out += [x, p.f - x]
+    return out
+
+
+def test_coset_key_matches_its_definition_on_lattices():
+    p = kzh_params()
+    lf = lifted_function()
+    sign = {FIXED_C: 0, PLUS_CPLUS: 1, MINUS: -1}
+    points = _lattice_points()
+    seen = set()
+    for x in points:
+        want = _reference_class(x)
+        seen.add(want)
+        assert coset_classify(x).classification == want, x
+        assert lf.sigma(x) == (sign[want] if p.l < x < p.u
+                               else -sign[want]), x
+    assert seen == {FIXED_C, PLUS_CPLUS, MINUS}
+    assert len(points) > 500
+
+
+def _near_group(unit):
+    """Rationals that are often in unit*Z, and often just off it."""
+    return st.one_of(
+        st.fractions(max_denominator=10**6),
+        st.builds(lambda k, m: Fraction(k, m) * unit,
+                  st.integers(-50, 50), st.integers(1, 4)))
+
+
+@settings(max_examples=300)
+@given(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4),
+       _near_group(Fraction(77, 2584)), _near_group(Fraction(77, 7752)))
+def test_in_group_t_matches_quotient_definition(i, j, da, db):
+    p = kzh_params()
+    q = p.t1 * i + p.t2 * j + QNum(da, db)
+    assert in_group_t(q) == _same_coset(q, QNum(0))
 
 # -- the lifted function ---------------------------------------------------------
 

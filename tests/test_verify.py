@@ -1,7 +1,10 @@
 """The four claim suites, their statistics, and the mutation control."""
 
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from groupcut.exactnum import QNum
 from groupcut.complex2d import Complex2D
@@ -12,6 +15,8 @@ from groupcut.verify import (
     verify_kzh_claim_slacks, verify_kzh_perturbation_rank, verify_lifted,
     verify_psi_separation,
 )
+
+from helpers import mutation_control_reports
 
 Q = lambda *a: QNum(Fraction(*a))
 
@@ -104,8 +109,13 @@ def test_kzh_rank_verified():
 
 # -- suite 4: lifting --------------------------------------------------------------
 
-def test_lifted_verified():
-    rep = verify_lifted()
+@pytest.fixture(scope="module")
+def lifted_report():
+    return verify_lifted()
+
+
+def test_lifted_verified(lifted_report):
+    rep = lifted_report
     assert rep
     st = rep.statistics
     assert st["preserved_faces"] == 19
@@ -121,8 +131,8 @@ def test_lifted_verified():
     assert sum(cov.values()) >= st["samples"]
 
 
-def test_lifted_deviation_attained():
-    rep = verify_lifted()
+def test_lifted_deviation_attained(lifted_report):
+    rep = lifted_report
     x = QNum.of(Fraction(rep.statistics["deviation_witness"]))
     fn = kzh_function()
     lo, hi = fn.special_intervals[0]
@@ -143,3 +153,14 @@ def test_psi_separation_builds_one_complex_per_function(monkeypatch):
                   for f in (psi_function, psi_prime_function))
     assert verify_psi_separation(psi, prime)
     assert len(built) == 2
+
+
+# -- the refutations ------------------------------------------------------------
+
+def test_mutation_control_reports_pinned():
+    # every witness and every statistic gathered before the refutation
+    reports = mutation_control_reports()
+    assert [r.status for r in reports] == [REFUTED] * 4
+    text = json.dumps([r.as_dict() for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1d53beac5525d1bdd1e2b99c59dc655c92a5e9bed46226ed2cc6ff668df21d8e")
