@@ -58,9 +58,9 @@ def _sides(face: Face2D, u, v, s) -> tuple[int, int, int]:
     return _SIDE_TRIPLES[tuple(out)]
 
 
-def _slack(fn: PwlFunction, u, v, s, sides) -> QNum:
+def _slack(limit, u, v, s, sides) -> QNum:
     s1, s2, s3 = sides
-    return fn.limit(u, s1) + fn.limit(v, s2) - fn.limit(s, s3)
+    return limit(u, s1) + limit(v, s2) - limit(s, s3)
 
 
 def slack_at(fn: PwlFunction, face: Face2D, vertex) -> QNum:
@@ -70,7 +70,7 @@ def slack_at(fn: PwlFunction, face: Face2D, vertex) -> QNum:
     if not (face.p1.contains(u) and face.p2.contains(v)
             and face.p3.contains(s)):
         raise ValueError(f"point ({u}, {v}) not in {face.label()}")
-    return _slack(fn, u, v, s, _sides(face, u, v, s))
+    return _slack(fn.limit, u, v, s, _sides(face, u, v, s))
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,12 +83,22 @@ class SlackRecord:
 @dataclass(frozen=True, slots=True)
 class FaceClassification:
     face: Face2D
-    slacks: tuple[SlackRecord, ...]
+    # slack_0, sides_0, slack_1, sides_1, ...: vertex i of the face has its
+    # slack at 2i and its side triple at 2i + 1
+    slack_sides: tuple
     status: str  # ADDITIVE / LIMIT_ADDITIVE / NON_ADDITIVE
 
     @property
+    def slacks(self) -> tuple[SlackRecord, ...]:
+        data = self.slack_sides
+        return tuple(SlackRecord(v, data[2 * i], data[2 * i + 1])
+                     for i, v in enumerate(self.face.vertices))
+
+    @property
     def zero_vertices(self) -> tuple[tuple[QNum, QNum], ...]:
-        return tuple(r.vertex for r in self.slacks if r.slack == 0)
+        return tuple(v for v, slack in zip(self.face.vertices,
+                                           self.slack_sides[::2])
+                     if slack == 0)
 
 
 @dataclass
@@ -104,10 +114,6 @@ class AdditivityReport:
         specials = self.fn.special_intervals
         return tuple(n_f(fc.face, specials) for fc in self.faces)
 
-    @cached_property
-    def _by_points(self) -> dict:
-        return {fc.face.vertices: fc for fc in self.faces}
-
     @property
     def additive_faces(self) -> list[Face2D]:
         return [fc.face for fc in self.faces if fc.status == ADDITIVE]
@@ -117,33 +123,35 @@ class AdditivityReport:
         return [fc.face for fc in self.faces if fc.status == LIMIT_ADDITIVE]
 
     def classification_of(self, face: Face2D) -> FaceClassification:
-        got = self._by_points.get(face.vertices)
-        if got is None:
+        n = self.complex.face_index.get(face.vertices)
+        if n is None:
             raise ValueError(f"{face.label()} is not a face of the complex")
-        return got
+        return self.faces[n]
 
 
 def classify_face(fn: PwlFunction, face: Face2D) -> FaceClassification:
-    return _classify(fn, face, {}.setdefault)
+    return _classify(fn.limit, face, {}.setdefault)
 
 
-def _classify(fn: PwlFunction, face: Face2D, same) -> FaceClassification:
-    """classify_face; same(x, x) is the kept x of an equal slack value."""
-    recs = []
-    for vertex in face.vertices:
-        u, v = vertex
+def _classify(limit, face: Face2D, same) -> FaceClassification:
+    """classify_face by limit(x, side); same(x, x) is the kept x of an
+    equal slack value or slack tuple."""
+    data = []
+    zeros = 0
+    for u, v in face.vertices:
         s = u + v
         sides = _sides(face, u, v, s)
-        slack = _slack(fn, u, v, s, sides)
-        recs.append(SlackRecord(vertex, same(slack, slack), sides))
-    zeros = sum(1 for r in recs if r.slack == 0)
-    if zeros == len(recs):
+        slack = _slack(limit, u, v, s, sides)
+        zeros += slack == 0
+        data += (same(slack, slack), sides)
+    if zeros == len(face.vertices):
         status = ADDITIVE
     elif zeros > 0:
         status = LIMIT_ADDITIVE
     else:
         status = NON_ADDITIVE
-    return FaceClassification(face, tuple(recs), status)
+    data = tuple(data)
+    return FaceClassification(face, same(data, data), status)
 
 
 def additive_face_report(fn: PwlFunction) -> AdditivityReport:
@@ -155,10 +163,21 @@ def additive_face_report(fn: PwlFunction) -> AdditivityReport:
     report = fn._analysis
     if report is None:
         cx = Complex2D(fn.breakpoints)
-        # 40,627 slacks of kzh take 388 values: share one object for each
+        # 40,627 slacks of kzh take 388 values and its 18,155 faces 6,243
+        # slack tuples: share one object for each
         same = {}.setdefault
+        # the sweep's own limits, dropped when it ends: kzh asks 121,881
+        # limits at 3,679 (coordinate, side) pairs, each reduced mod 1 once
+        limits = {}
+
+        def limit(x, side):
+            got = limits.get((x, side))
+            if got is None:
+                got = limits[x, side] = fn.uncached_limit(x.mod1(), side)
+            return got
+
         report = AdditivityReport(
-            fn, cx, tuple(_classify(fn, F, same) for F in cx.faces))
+            fn, cx, tuple(_classify(limit, F, same) for F in cx.faces))
         fn._analysis = report
     return report
 
@@ -222,12 +241,12 @@ def minimality_test(fn: PwlFunction, f=None) -> MinimalityReport:
                     {"x": t, "pairing": kind, "sum": total})
 
     for fc in additive_face_report(fn).faces:
-        for r in fc.slacks:
-            if r.slack < 0:
+        for vertex, slack in zip(fc.face.vertices, fc.slack_sides[::2]):
+            if slack < 0:
                 return MinimalityReport(
                     False, "subadditivity",
-                    {"face": fc.face.label(), "vertex": r.vertex,
-                     "slack": r.slack})
+                    {"face": fc.face.label(), "vertex": vertex,
+                     "slack": slack})
 
     return MinimalityReport(True)
 

@@ -357,14 +357,25 @@ class LiftedFunction:
     def special_intervals(self):
         return self.base.special_intervals
 
-    def sigma(self, x) -> int:
+    def sigma_class(self, x) -> tuple[int, str | None]:
+        """sigma(x) and the coset class of x, None outside the specials.
+
+        On the mirrored interval x has the class of f - x (see
+        ``coset_classify``), and sigma(x) = -sigma(f - x).
+        """
         p = self.params
         x = QNum.of(x).mod1()
         if p.l < x < p.u:
-            return _SIGN[coset_classify(x).classification]
-        if p.f - p.u < x < p.f - p.l:
-            return -self.sigma(p.f - x)
-        return 0
+            sign = 1
+        elif p.f - p.u < x < p.f - p.l:
+            sign = -1
+        else:
+            return 0, None
+        cls = coset_classify(x).classification
+        return sign * _SIGN[cls], cls
+
+    def sigma(self, x) -> int:
+        return self.sigma_class(x)[0]
 
     def eval(self, x) -> QNum:
         x = QNum.of(x).mod1()

@@ -10,14 +10,16 @@ consists of all nonempty sets
 where I, J range over the 1-D faces in [0,1] and K over the 1-D faces
 of the doubled complex in [0,2].  Each face is a polytope with at most
 six sides in the three directions x, y, x+y; its extreme points are
-computed exactly.
+computed exactly.  The complex is enumerated on integer ranks: each sum
+of two breakpoints is ranked once against the points of [0,2], and every
+vertex and projection test compares ranks.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 from .exactnum import QNum, format_qnum
 
@@ -114,33 +116,153 @@ def polygon_vertices(I: Interval, J: Interval, K: Interval) -> tuple[Point, ...]
 def make_face(I: Interval, J: Interval, K: Interval) -> Face2D | None:
     """Build F(I, J, K), or None when the constraint set is empty."""
     verts = polygon_vertices(I, J, K)
-    return _face(I, J, K, verts, {}.setdefault) if verts else None
-
-
-def _face(I: Interval, J: Interval, K: Interval, verts: tuple[Point, ...],
-          same) -> Face2D:
-    """F(I, J, K) from its extreme points; same(x, x) is the kept x."""
-    dim = 0 if len(verts) == 1 else (1 if len(verts) == 2 else 2)
+    if not verts:
+        return None
     xs = [p[0] for p in verts]
     ys = [p[1] for p in verts]
     ss = [p[0] + p[1] for p in verts]
-    lo, hi = min(ss), max(ss)
-    return Face2D(I, J, K, verts, dim, _span(I, min(xs), max(xs)),
-                  _span(J, min(ys), max(ys)),
-                  _span(K, same(lo, lo), same(hi, hi)))
+    return Face2D(I, J, K, verts, min(len(verts) - 1, 2),
+                  Interval(min(xs), max(xs)), Interval(min(ys), max(ys)),
+                  Interval(min(ss), max(ss)))
 
 
-def _span(whole: Interval, a: QNum, b: QNum) -> Interval:
-    """[a, b] inside ``whole``; ``whole`` itself when they are equal."""
-    return whole if a == whole.a and b == whole.b else Interval(a, b)
+def _cell(points, cells, t) -> Interval:
+    """The 1-D face over ``points`` whose relative interior holds t."""
+    if not (points[0] <= t <= points[-1]):
+        raise ValueError(f"{t} outside [{points[0]},{points[-1]}]")
+    i = bisect.bisect_left(points, t)
+    return cells[2 * i if points[i] == t else 2 * i - 1]
 
 
 def _one_dim_faces(points: list[QNum]) -> tuple[Interval, ...]:
+    """Face 2i is the point {p_i}, face 2i + 1 the edge [p_i, p_{i+1}]."""
     faces = []
     for i, p in enumerate(points):
         faces.append(Interval(p, p))
         if i + 1 < len(points):
             faces.append(Interval(p, points[i + 1]))
+    return tuple(faces)
+
+
+def _enumerate(P, G, faces_x, faces_k) -> tuple[Face2D, ...]:
+    """The faces over the grid P (points_x) and G (points_k), in order.
+
+    Each sum P[i] + P[j] is ranked once against G: 2k + 1 when it equals
+    G[k], else twice the number of points of G below it.  The sum lies in
+    [G[ka], G[kb]] iff 2 ka + 1 <= rank <= 2 kb + 1, so every test of
+    ``polygon_vertices`` is an int compare.  A coordinate is keyed by
+    indices: an x or y key v < n is P[v] and n + k n + j is G[k] - P[j],
+    a sum key w < m is G[w] and m + i n + j is P[i] + P[j].  A vertex is
+    keyed x_key * W + y_key, with its coordinate put on a breakpoint
+    whenever it equals one, so equal keys are equal points and point sets
+    deduplicate on sorted keys.  Values are built once per distinct key.
+    """
+    n, m = len(P), len(G)
+    rank = [0] * (n * n)  # rank[i*n + j]: rank of P[i] + P[j] against G
+    for i in range(n):
+        for j in range(i, n):
+            s = P[i] + P[j]
+            k = bisect.bisect_left(G, s)
+            rank[i * n + j] = rank[j * n + i] = (2 * k + 1 if G[k] == s
+                                                 else 2 * k)
+    W = n + m * n
+    n_k = len(faces_k)
+    found: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    for fi in range(2 * n - 1):
+        ia, ib = fi >> 1, (fi + 1) >> 1
+        xs = (ia, ib) if ia != ib else (ia,)
+        for fj in range(2 * n - 1):
+            ja, jb = fj >> 1, (fj + 1) >> 1
+            ys = (ja, jb) if ja != jb else (ja,)
+            lo, hi = rank[ia * n + ja], rank[ib * n + jb]
+            # the K with K.b >= P[ia] + P[ja] and K.a <= P[ib] + P[jb]
+            for fk in range(max(0, (lo >> 1) * 2 - 1),
+                            min(n_k, hi + (hi & 1))):
+                ka, kb = fk >> 1, (fk + 1) >> 1
+                ta, tb = 2 * ka + 1, 2 * kb + 1
+                verts = set()
+                for i in xs:
+                    for j in ys:
+                        if ta <= rank[i * n + j] <= tb:
+                            verts.add(i * W + j)
+                for t, k in ((ta, ka), (tb, kb)) if ka != kb else ((ta, ka),):
+                    for i in xs:  # x = P[i], y = G[k] - P[i] in J
+                        ra, rb = rank[i * n + ja], rank[i * n + jb]
+                        if ra <= t <= rb:
+                            verts.add(i * W + (ja if ra == t else jb if rb == t
+                                               else n + k * n + i))
+                    for j in ys:  # y = P[j], x = G[k] - P[j] in I
+                        ra, rb = rank[ia * n + j], rank[ib * n + j]
+                        if ra <= t <= rb:
+                            verts.add((ia if ra == t else ib if rb == t
+                                       else n + k * n + j) * W + j)
+                if verts:
+                    key = tuple(sorted(verts))
+                    if key not in found:
+                        # triples come in increasing triple_key order, so
+                        # the first triple of a point set represents it
+                        found[key] = (fi, fj, fk)
+
+    same = {g: g for g in G}.setdefault  # one object per distinct value
+    values: dict[int, QNum] = {}
+
+    def value(key):  # a sum key w is passed as W + w
+        v = values.get(key)
+        if v is None:
+            if key < n:
+                v = P[key]
+            elif key < W:
+                k, j = divmod(key - n, n)
+                v = G[k] - P[j]
+            elif key < W + m:
+                v = G[key - W]
+            else:
+                i, j = divmod(key - W - m, n)
+                v = P[i] + P[j]
+            v = values[key] = same(v, v)
+        return v
+
+    spans: dict[tuple[int, int], Interval] = {}
+    by_value = {}
+    for iv in faces_x + faces_k:
+        by_value.setdefault((iv.a, iv.b), iv)
+
+    def span(a, b):
+        iv = spans.get((a, b))
+        if iv is None:
+            lo, hi = value(a), value(b)
+            iv = by_value.get((lo, hi))
+            if iv is None:
+                iv = by_value[lo, hi] = Interval(lo, hi)
+            spans[a, b] = iv
+        return iv
+
+    points: dict[int, Point] = {}
+    faces = []
+    for key, (fi, fj, fk) in found.items():
+        verts = []
+        for vk in key:
+            p = points.get(vk)
+            if p is None:
+                x, y = divmod(vk, W)
+                p = points[vk] = (value(x), value(y))
+            verts.append(p)
+        verts.sort()
+        ia, ib, ja, jb = fi >> 1, (fi + 1) >> 1, fj >> 1, (fj + 1) >> 1
+        ka, kb = fk >> 1, (fk + 1) >> 1
+        ta, tb = 2 * ka + 1, 2 * kb + 1
+        # p1 = I & (K - J), p2 = J & (K - I), p3 = K & (I + J)
+        x0 = ia if rank[ia * n + jb] >= ta else n + ka * n + jb
+        x1 = ib if rank[ib * n + ja] <= tb else n + kb * n + ja
+        y0 = ja if rank[ib * n + ja] >= ta else n + ka * n + ib
+        y1 = jb if rank[ia * n + jb] <= tb else n + kb * n + ia
+        r0, r1 = rank[ia * n + ja], rank[ib * n + jb]
+        s0 = ka if r0 <= ta else m + ia * n + ja
+        s1 = kb if r1 >= tb else m + ib * n + jb
+        faces.append(Face2D(
+            faces_x[fi], faces_x[fj], faces_k[fk], tuple(verts),
+            min(len(verts) - 1, 2), span(x0, x1), span(y0, y1),
+            span(W + s0, W + s1)))
     return tuple(faces)
 
 
@@ -161,72 +283,35 @@ class Complex2D:
         points_k = list(self.points_x) + [p + 1 for p in bk[1:]] + [QNum(2)]
         self.points_k: tuple[QNum, ...] = tuple(points_k)
         self.faces_k = _one_dim_faces(points_k)
-        self._enumerate()
+        self.faces: tuple[Face2D, ...] = _enumerate(
+            self.points_x, self.points_k, self.faces_x, self.faces_k)
 
-    def _enumerate(self) -> None:
-        ka = [K.a for K in self.faces_k]
-        kb = [K.b for K in self.faces_k]
-        by_pointset: dict[tuple[Point, ...], Face2D] = {}
-        # many faces, few distinct coordinates: share one object for each
-        same = {}.setdefault
-        for I in self.faces_x:
-            for J in self.faces_x:
-                lo = I.a + J.a
-                hi = I.b + J.b
-                i0 = bisect.bisect_left(kb, lo)
-                i1 = bisect.bisect_right(ka, hi)
-                for K in self.faces_k[i0:i1]:
-                    # triples come in increasing triple_key order, so the
-                    # first triple of a point set is its representative
-                    verts = polygon_vertices(I, J, K)
-                    if verts and verts not in by_pointset:
-                        verts = tuple((same(x, x), same(y, y))
-                                      for x, y in verts)
-                        by_pointset[verts] = _face(I, J, K, verts, same)
-        self._by_pointset = by_pointset
-        self.faces: tuple[Face2D, ...] = tuple(by_pointset.values())
+    @cached_property
+    def face_index(self) -> dict[tuple[Point, ...], int]:
+        """Position in ``faces`` of each face, keyed by its vertices."""
+        return {face.vertices: n for n, face in enumerate(self.faces)}
 
     # -- lookup -------------------------------------------------------------
-
-    def locate_x(self, t: QNum) -> Interval:
-        """The 1-D face over [0,1] whose relative interior holds t."""
-        if not (0 <= t <= 1):
-            raise ValueError(f"{t} outside [0,1]")
-        i = bisect.bisect_right(self.points_x, t) - 1
-        if i == len(self.points_x) - 1:  # t == 1
-            return self.faces_x[2 * i]
-        if self.points_x[i] == t:
-            return self.faces_x[2 * i]
-        return self.faces_x[2 * i + 1]
-
-    def locate_k(self, s: QNum) -> Interval:
-        if not (0 <= s <= 2):
-            raise ValueError(f"{s} outside [0,2]")
-        i = bisect.bisect_right(self.points_k, s) - 1
-        if i == len(self.points_k) - 1:  # s == 2
-            return self.faces_k[2 * i]
-        if self.points_k[i] == s:
-            return self.faces_k[2 * i]
-        return self.faces_k[2 * i + 1]
 
     def face_of_point(self, x, y) -> Face2D:
         """The unique face whose relative interior contains (x, y)."""
         x = QNum.of(x)
         y = QNum.of(y)
-        face = make_face(self.locate_x(x), self.locate_x(y),
-                         self.locate_k(x + y))
+        face = make_face(_cell(self.points_x, self.faces_x, x),
+                         _cell(self.points_x, self.faces_x, y),
+                         _cell(self.points_k, self.faces_k, x + y))
         if face is None:
             raise ArithmeticError(f"no face of the complex holds ({x}, {y})")
-        return self._by_pointset[face.vertices]
+        return self.faces[self.face_index[face.vertices]]
 
     def find_face(self, I: Interval, J: Interval, K: Interval) -> Face2D:
         face = make_face(I, J, K)
         if face is None:
             raise ValueError(f"F({I}, {J}, {K}) is empty")
-        got = self._by_pointset.get(face.vertices)
-        if got is None:
+        n = self.face_index.get(face.vertices)
+        if n is None:
             raise ValueError(f"F({I}, {J}, {K}) is not a face of this complex")
-        return got
+        return self.faces[n]
 
     @property
     def piece_intervals(self) -> list[Interval]:

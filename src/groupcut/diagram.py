@@ -184,24 +184,37 @@ def render_svg(fn, *, show_additive: bool = True,
 
 
 def _encode_faces(report: AdditivityReport) -> list[dict]:
-    """The face classification as JSON values, numbers as exact strings."""
-    text = lru_cache(maxsize=None)(str)  # one string per recurring number
+    """The face classification as JSON values, numbers as exact strings.
+
+    Each number, number pair (an interval or a vertex) and side triple is
+    one shared immutable value; json writes a tuple as an array.
+    """
+    text = lru_cache(maxsize=None)(str)
+    pairs: dict = {}
+
+    def pair(key, a, b):
+        got = pairs.get(key)
+        if got is None:
+            got = pairs[key] = (text(a), text(b))
+        return got
+
     faces = []
     for cls, nf in zip(report.faces, report.n_f):
         face = cls.face
+        I, J, K = face.I, face.J, face.K
+        verts = [pair(v, *v) for v in face.vertices]
+        data = cls.slack_sides
         faces.append({
-            "I": [text(face.I.a), text(face.I.b)],
-            "J": [text(face.J.a), text(face.J.b)],
-            "K": [text(face.K.a), text(face.K.b)],
+            "I": pair(I, I.a, I.b),
+            "J": pair(J, J.a, J.b),
+            "K": pair(K, K.a, K.b),
             "dim": face.dim,
             "status": cls.status,
             "n_f": nf,
-            "vertices": [[text(u), text(v)] for (u, v) in face.vertices],
-            "slacks": [{
-                "vertex": [text(r.vertex[0]), text(r.vertex[1])],
-                "sides": list(r.sides),
-                "slack": text(r.slack),
-            } for r in cls.slacks],
+            "vertices": verts,
+            "slacks": [{"vertex": v, "sides": data[2 * i + 1],
+                        "slack": text(data[2 * i])}
+                       for i, v in enumerate(verts)],
         })
     return faces
 

@@ -321,6 +321,7 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
         _check_slope_classes_covered(report, param)
 
     rows = []
+    same = {}.setdefault  # one object per distinct coefficient value
     for face, vertex in selected_faces:
         cls = report.classification_of(face)
         if cls.status != ADDITIVE:
@@ -334,7 +335,7 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
                            (param.expansion(u + v, s3), -1)):
             for name, c in term.items():
                 coeffs[name] = coeffs.get(name, QNum(0)) + (c if sign > 0 else -c)
-        coeffs = {n: c for n, c in coeffs.items() if c}
+        coeffs = {n: same(c, c) for n, c in coeffs.items() if c}
         label = f"{face.label().replace(' ', '')} ({u},{v})".replace(" ", "")
         rows.append((label, coeffs))
 

@@ -129,21 +129,22 @@ class PwlFunction:
         x = QNum.of(x).mod1()
         key = (x, side)
         got = self._limit_cache.get(key)
-        if got is not None:
-            return got
+        if got is None:
+            got = self._limit_cache[key] = self.uncached_limit(x, side)
+        return got
+
+    def uncached_limit(self, x: QNum, side: int) -> QNum:
+        """``limit`` at x in [0, 1), computed without the cache."""
         kind, i = self.locate(x)
         if kind == "piece":
             # interior of an open piece: all three sides agree
             r = self.rows[i]
-            val = r.right + self.slopes[i] * (x - r.x)
-        elif side == AT:
-            val = self.rows[i].value
-        elif side == PLUS:
-            val = self.rows[i].right
-        else:
-            val = self.rows[i].left
-        self._limit_cache[key] = val
-        return val
+            return r.right + self.slopes[i] * (x - r.x)
+        if side == AT:
+            return self.rows[i].value
+        if side == PLUS:
+            return self.rows[i].right
+        return self.rows[i].left
 
     def eval(self, x: QNumLike) -> QNum:
         return self.limit(x, AT)

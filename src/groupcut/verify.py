@@ -347,14 +347,6 @@ def _lifted_face_classes(fn: PwlFunction):
     return faces
 
 
-def _special_class(t, p) -> str | None:
-    """Coset class of a point interior to either special interval."""
-    t = QNum.of(t).mod1()
-    if p.l < t < p.u or p.f - p.u < t < p.f - p.l:
-        return catalog.coset_classify(t).classification
-    return None
-
-
 # the least number of sampled points of each coset class on a lifted face
 MIN_PER_CLASS = 100
 
@@ -378,15 +370,17 @@ def _fixed_coset_points(lo: QNum, hi: QNum, p, reps) -> list[QNum]:
     return out
 
 
-def _face_samples(face, p):
+def _face_samples(face, lifted):
     """Deterministic relint points of a 1-dim face, stratified by coset.
 
     Combines points aimed exactly at the reflection-fixed cosets of both
     special intervals (rational grids never land in those measure-zero
     families) with uniform rational grids that populate the two free
     classes until each has MIN_PER_CLASS hits.  Returns the distinct
-    samples and the per-class hit counts.
+    samples, each with the sigmas of its coordinates x, y and x + y, and
+    the per-class hit counts.
     """
+    p = lifted.params
     (x0, y0), (x1, y1) = face.vertices[0], face.vertices[-1]
     lower_reps = catalog._c_representatives()
     # on the mirror interval the reflection-fixed points are f - C
@@ -402,13 +396,10 @@ def _face_samples(face, p):
         if pt in seen:
             return
         seen.add(pt)
-        samples.append(pt)
-        hit = set()
-        for coord in (pt[0], pt[1], pt[0] + pt[1]):
-            cls = _special_class(coord, p)
-            if cls is not None:
-                hit.add(cls)
-        for cls in hit:
+        sigmas, classes = zip(*map(lifted.sigma_class,
+                                   (pt[0], pt[1], pt[0] + pt[1])))
+        samples.append((pt, sigmas))
+        for cls in set(classes) - {None}:
             counts[cls] += 1
 
     # aim each moving coordinate at the fixed cosets inside its own sweep
@@ -439,8 +430,12 @@ def _face_samples(face, p):
     return samples, counts
 
 
-def _lifted_delta(lifted, u: QNum, v: QNum) -> QNum:
-    return lifted(u) + lifted(v) - lifted((u + v).mod1())
+def _lifted_delta(lifted, u: QNum, v: QNum, sigmas) -> QNum:
+    """lift(u) + lift(v) - lift(u + v), given the sigmas of u, v, u + v."""
+    base, s = lifted.base, lifted.params.s
+    su, sv, sw = sigmas
+    return (base.eval(u.mod1()) + base.eval(v.mod1())
+            - base.eval((u + v).mod1()) + s * (su + sv - sw))
 
 
 @_suite("lifted_preserves_additivity")
@@ -496,9 +491,9 @@ def verify_lifted(stats, fn: PwlFunction | None = None):
         if face.dim != 1 or nf != 2:
             raise Refuted(f"class {tag} face {face.label()} has dim "
                           f"{face.dim}, n_F {nf}")
-        samples, counts = _face_samples(face, p)
-        for (u, v) in samples:
-            d = _lifted_delta(lifted, u, v)
+        samples, counts = _face_samples(face, lifted)
+        for (u, v), sigmas in samples:
+            d = _lifted_delta(lifted, u, v, sigmas)
             stats["samples"] += 1
             if d != 0:
                 raise Refuted(f"class {tag} face {face.label()} at "
@@ -530,7 +525,8 @@ def verify_lifted(stats, fn: PwlFunction | None = None):
                 a, b = face.vertices[0], face.vertices[-1]
                 pts += [((3 * a[0] + b[0]) / 4, (3 * a[1] + b[1]) / 4)]
         for (u, v) in pts:
-            d = _lifted_delta(lifted, u, v)
+            d = _lifted_delta(lifted, u, v,
+                              [lifted.sigma(t) for t in (u, v, u + v)])
             stats["broken_checked"] += 1
             if d <= 0:
                 raise Refuted(f"non-additive face {face.label()} at "

@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from groupcut.complex2d import Interval, make_face
 from groupcut.exactnum import QNum
 from groupcut.pwl import PwlFunction, BreakpointRow
 
@@ -325,3 +326,33 @@ def mutation_control_reports():
             verify_kzh_claim_slacks(mutate_value(kzh_function(), 17, delta)),
             verify_kzh_perturbation_rank(bad6),
             verify_lifted(fn=bad6))
+
+
+# -- the 2-D complex by its definition ----------------------------------------
+
+
+def _cells(points) -> list[Interval]:
+    out = []
+    for p, q in zip(points, points[1:]):
+        out += [Interval(p, p), Interval(p, q)]
+    return out + [Interval(points[-1], points[-1])]
+
+
+def reference_faces(breakpoints) -> tuple:
+    """The faces F(I, J, K) over sorted breakpoints that start at 0.
+
+    Calls ``make_face`` on every (I, J, K) with I, J over [0, 1] and K
+    over [0, 2], I, J, K each in increasing order, and keeps the first
+    triple of each point set.
+    """
+    bk = [QNum.of(b) for b in breakpoints]
+    cells_x = _cells(bk + [QNum(1)])
+    cells_k = _cells(bk + [QNum(1)] + [b + 1 for b in bk[1:]] + [QNum(2)])
+    by_points = {}
+    for I in cells_x:
+        for J in cells_x:
+            for K in cells_k:
+                face = make_face(I, J, K)
+                if face is not None:
+                    by_points.setdefault(face.vertices, face)
+    return tuple(by_points.values())

@@ -108,6 +108,28 @@ def test_report_json_is_exact():
 
 
 
+def test_slack_records_are_read_from_the_flat_tuple():
+    rep = additive_face_report(psi_function())
+    for c in rep.faces:
+        assert len(c.slack_sides) == 2 * len(c.face.vertices)
+        assert [(r.vertex, r.slack, r.sides) for r in c.slacks] == [
+            (v, c.slack_sides[2 * i], c.slack_sides[2 * i + 1])
+            for i, v in enumerate(c.face.vertices)]
+        assert c.zero_vertices == tuple(r.vertex for r in c.slacks
+                                        if r.slack == 0)
+
+
+def test_classification_of_reads_the_complex_index():
+    rep = additive_face_report(psi_function())
+    for c in rep.faces[::17]:
+        assert rep.classification_of(c.face) is c
+    # a triangle of the coarser 1/2 grid, cut by psi's 1/8 grid
+    outside = additive_face_report(gmic()).complex.find_face(
+        Interval(0, H), Interval(0, H), Interval(0, H))
+    with pytest.raises(ValueError, match="not a face of the complex"):
+        rep.classification_of(outside)
+
+
 def test_n_f_is_computed_once_per_face(monkeypatch):
     calls = []
     real = additivity.n_f

@@ -4,11 +4,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupcut.exactnum import QNum
 from groupcut.pwl import PwlFunction
 from groupcut.complex2d import (Complex2D, Face2D, Interval, ccw_hull_order,
                                 centroid, make_face, n_f, polygon_vertices)
+
+from helpers import reference_faces
 
 H = Fraction(1, 2)
 
@@ -81,6 +84,9 @@ def test_face_of_point():
     h = cx.face_of_point(H, H)
     assert h.dim == 0
     assert h.vertices == ((QNum(H), QNum(H)),)
+    assert cx.face_of_point(1, 1).vertices == ((QNum(1), QNum(1)),)
+    with pytest.raises(ValueError, match="outside"):
+        cx.face_of_point(Fraction(3, 2), 0)
 
 
 def test_faces_partition_vertices_consistently():
@@ -134,3 +140,39 @@ def test_kzh_complex_size():
     counts = Counter(f.dim for f in cx.faces)
     assert len(cx.faces) == 18155
     assert counts == {0: 4479, 1: 9077, 2: 4599}
+
+
+# breakpoints on a random 1/N grid, and random Q(sqrt2) numbers in (0, 1)
+grid_breakpoints = st.integers(2, 60).flatmap(
+    lambda N: st.lists(st.integers(1, N - 1), max_size=4, unique=True).map(
+        lambda ks: [QNum(0)] + [QNum(Fraction(k, N)) for k in sorted(ks)]))
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=40)
+in_unit = st.tuples(fractions, fractions).map(
+    lambda ab: QNum(*ab).mod1()).filter(bool)
+sqrt2_breakpoints = st.lists(in_unit, min_size=1, max_size=4,
+                             unique=True).map(lambda xs: [QNum(0)] + sorted(xs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_breakpoints)
+def test_complex_matches_reference_on_grids(bk):
+    assert Complex2D(bk).faces == reference_faces(bk)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sqrt2_breakpoints)
+def test_complex_matches_reference_over_q_sqrt2(bk):
+    assert Complex2D(bk).faces == reference_faces(bk)
+
+
+def test_faces_share_one_object_per_point_and_projection():
+    from groupcut.catalog import kzh_function, psi_function
+    from groupcut.additivity import additive_face_report
+    for fn in (psi_function(), kzh_function()):
+        kept = {}
+        for face in additive_face_report(fn).complex.faces:
+            for obj in (face.p1, face.p2, face.p3) + face.vertices:
+                assert kept.setdefault(obj, obj) is obj
+            for u, v in face.vertices:
+                assert kept.setdefault(u, u) is u
+                assert kept.setdefault(v, v) is v
