@@ -23,7 +23,7 @@ from .catalog import (catalog_names, get, kzh_function, kzh_params,
 from .verify import (ClaimReport, verify_all, verify_kzh_claim_slacks,
                      verify_kzh_perturbation_rank, verify_lifted,
                      verify_psi_separation)
-from .diagram import render_diagram, render_sidecar, render_svg
+from .diagram import render_sidecar, render_svg
 
 __all__ = [
     "QNum", "Rat", "parse_qnum", "format_qnum",
@@ -41,7 +41,7 @@ __all__ = [
     "ClaimReport", "verify_all", "verify_kzh_claim_slacks",
     "verify_kzh_perturbation_rank", "verify_lifted",
     "verify_psi_separation",
-    "render_diagram", "render_sidecar", "render_svg",
+    "render_sidecar", "render_svg",
 ]
 
 __version__ = "0.1.0"

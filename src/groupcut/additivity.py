@@ -18,7 +18,7 @@ finitely many vertex slacks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -106,6 +106,9 @@ class AdditivityReport:
     fn: PwlFunction
     complex: Complex2D
     faces: tuple[FaceClassification, ...]
+    # only covering.components touches it
+    _covering: object = field(default=None, init=False, repr=False,
+                              compare=False)
 
     @cached_property
     def n_f(self) -> tuple[int, ...]:
@@ -201,7 +204,7 @@ class MinimalityReport:
         return f"not minimal: {self.failure} ({parts})"
 
 
-def minimality_test(fn: PwlFunction, f=None) -> MinimalityReport:
+def minimality_test(fn: PwlFunction) -> MinimalityReport:
     """Exact minimality check: pi(0)=0, bounds, symmetry, subadditivity.
 
     Symmetry pi(x) + pi(f-x) = 1 is checked for values and both one-sided
@@ -212,7 +215,7 @@ def minimality_test(fn: PwlFunction, f=None) -> MinimalityReport:
     function's analysis; the cheap checks come first so that a function
     failing them never pays for the analysis.
     """
-    f = fn.f if f is None else QNum.of(f)
+    f = fn.f
 
     if fn.eval(0) != 0:
         return MinimalityReport(False, "value_at_zero",

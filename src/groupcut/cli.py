@@ -16,7 +16,7 @@ from . import catalog
 from .additivity import (ADDITIVE, LIMIT_ADDITIVE, NON_ADDITIVE,
                          additive_face_report, minimality_test)
 from .covering import components as covering_components
-from .diagram import render_diagram, sidecar_to_json
+from . import diagram
 from .exactnum import parse_qnum
 from .perturbation import (lipschitz_epsilon, scaling_epsilon,
                            verify_effective)
@@ -66,16 +66,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_eval(args) -> int:
-    fn = _load(args.func)
-    x = _parse_x(args.x)
-    side = SIDE_NAMES[args.side]
-    if side == 0:
-        print(fn.eval(x))
-        return 0
-    if not isinstance(fn, PwlFunction):
-        raise _InputError("one-sided limits need a piecewise linear "
-                          "function")
-    print(fn.limit(x, side))
+    print(_load(args.func).eval(_parse_x(args.x)))
     return 0
 
 
@@ -86,20 +77,13 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_minimality(args) -> int:
-    fn = _load_pwl(args.func)
-    f = _parse_x(args.f) if args.f is not None else None
-    report = minimality_test(fn, f)
+    report = minimality_test(_load_pwl(args.func))
     print(report)
     return 0 if report else 1
 
 
 def _cmd_additive_faces(args) -> int:
     fn = _load(args.func)
-    if args.format in ("svg", "json"):
-        svg, sidecar = render_diagram(fn)
-        _emit(svg if args.format == "svg" else sidecar_to_json(sidecar),
-              args.out)
-        return 0
     base = fn if isinstance(fn, PwlFunction) else fn.base
     report = additive_face_report(base)
     counts = {ADDITIVE: 0, LIMIT_ADDITIVE: 0, NON_ADDITIVE: 0}
@@ -203,11 +187,13 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_diagram(args) -> int:
     fn = _load(args.func)
-    svg, sidecar = render_diagram(
-        fn, show_additive=not args.no_additive,
-        show_limit_cones=not args.no_cones, color_by_nf=args.color_by_nf)
-    _emit(svg if args.format == "svg" else sidecar_to_json(sidecar),
-          args.out)
+    if args.format == "svg":
+        text = diagram.render_svg(
+            fn, show_additive=not args.no_additive,
+            show_limit_cones=not args.no_cones, color_by_nf=args.color_by_nf)
+    else:
+        text = diagram.sidecar_to_json(diagram.render_sidecar(fn))
+    _emit(text, args.out)
     return 0
 
 
@@ -222,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a function at a point")
     p.add_argument("func")
     p.add_argument("x")
-    p.add_argument("--side", choices=sorted(SIDE_NAMES), default="at")
     p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("limit", help="one-sided limit at a point")
@@ -233,15 +218,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimality", help="exact minimality test")
     p.add_argument("func")
-    p.add_argument("--f", default=None, help="override the symmetry point")
     p.set_defaults(run=_cmd_minimality)
 
     p = sub.add_parser("additive-faces",
                        help="classify every face of the complex")
     p.add_argument("func")
-    p.add_argument("--format", choices=("text", "svg", "json"),
-                   default="text")
-    p.add_argument("--out", default=None, help="write to a file")
     p.set_defaults(run=_cmd_additive_faces)
 
     p = sub.add_parser("covering",

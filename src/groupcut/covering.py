@@ -45,14 +45,12 @@ class Move:
 @dataclass
 class CoveredComponent:
     intervals: list[Span]  # fully covered open pieces
-    connections: list[tuple[Span, Span, str]]  # (piece, piece, how)
 
 
 @dataclass
 class CoveringResult:
     components: list[CoveredComponent]
     uncovered: list[Span]
-    covered: list[Span]
     moves: list[Move]
 
 
@@ -159,9 +157,18 @@ class _UnionFind:
 
 
 def components(report: AdditivityReport) -> CoveringResult:
-    """Propagate covering to a fixed point and group pieces by slope."""
-    cx = report.complex
-    piece_faces = cx.piece_intervals
+    """Propagate covering to a fixed point and group pieces by slope.
+
+    The covering is part of the function's one analysis: it is built on
+    the first call, kept on the report, and read by every later consumer.
+    """
+    if report._covering is None:
+        report._covering = _build(report)
+    return report._covering
+
+
+def _build(report: AdditivityReport) -> CoveringResult:
+    piece_faces = report.complex.piece_intervals
     piece_spans = [(p.a, p.b) for p in piece_faces]
     los = [p.a for p in piece_faces]
 
@@ -173,53 +180,46 @@ def components(report: AdditivityReport) -> CoveringResult:
         return i
 
     covers = [_PieceCover(lo, hi) for lo, hi in piece_spans]
-    covered = directly_covered(report)
-    for a, b in covered:
+    for a, b in directly_covered(report):
         covers[piece_of((a, b))].add(a, b)
     moves = edge_connections(report)
+    # each move both ways, with the pieces of its two ends found once
+    arrows = []
+    for mv in moves:
+        i, j = piece_of(mv.src), piece_of(mv.dst)
+        arrows += ((i, mv.src, j, mv.dst), (j, mv.dst, i, mv.src))
 
     # propagate full source intervals across moves until stable
     changed = True
     while changed:
         changed = False
-        for mv in moves:
-            for src, dst in ((mv.src, mv.dst), (mv.dst, mv.src)):
-                i, j = piece_of(src), piece_of(dst)
-                if covers[i].contains(*src) and not covers[j].contains(*dst):
-                    covers[j].add(*dst)
-                    changed = True
+        for i, src, j, dst in arrows:
+            if covers[i].contains(*src) and not covers[j].contains(*dst):
+                covers[j].add(*dst)
+                changed = True
 
     full = [c.full for c in covers]
     uf = _UnionFind(len(piece_spans))
-    connections: dict[int, list[tuple[Span, Span, str]]] = {}
 
-    def connect(i: int, j: int, how: str):
-        if full[i] and full[j] and i != j:
+    def connect(i: int, j: int):
+        if full[i] and full[j]:
             uf.union(i, j)
-            connections.setdefault(uf.find(i), []).append(
-                (piece_spans[i], piece_spans[j], how))
 
     for fc in report.faces:
         if fc.status != ADDITIVE or fc.face.dim != 2:
             continue
         ids = [piece_of(_reduce_span(p.a, p.b))
                for p in (fc.face.p1, fc.face.p2, fc.face.p3)]
-        connect(ids[0], ids[1], "face")
-        connect(ids[0], ids[2], "face")
-    for mv in moves:
-        connect(piece_of(mv.src), piece_of(mv.dst), mv.kind)
+        connect(ids[0], ids[1])
+        connect(ids[0], ids[2])
+    for i, _, j, _ in arrows[::2]:
+        connect(i, j)
 
     groups: dict[int, list[int]] = {}
     for i, ok in enumerate(full):
         if ok:
             groups.setdefault(uf.find(i), []).append(i)
-    comps = []
-    for root in sorted(groups):
-        conns = []
-        for r, lst in connections.items():
-            if uf.find(r) == root:
-                conns.extend(lst)
-        comps.append(CoveredComponent(
-            [piece_spans[i] for i in sorted(groups[root])], conns))
+    comps = [CoveredComponent([piece_spans[i] for i in groups[root]])
+             for root in sorted(groups)]
     uncov = [piece_spans[i] for i, ok in enumerate(full) if not ok]
-    return CoveringResult(comps, uncov, covered, moves)
+    return CoveringResult(comps, uncov, moves)

@@ -241,15 +241,6 @@ def render_sidecar(fn, report: AdditivityReport | None = None) -> dict:
     return data
 
 
-def render_diagram(fn, *, show_additive: bool = True,
-                   show_limit_cones: bool = True,
-                   color_by_nf: bool = False) -> tuple[str, dict]:
-    svg = render_svg(fn, show_additive=show_additive,
-                     show_limit_cones=show_limit_cones,
-                     color_by_nf=color_by_nf)
-    return svg, render_sidecar(fn)
-
-
 def sidecar_to_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 

@@ -155,11 +155,8 @@ class _Parametrization:
             if j not in self.special_pieces:
                 self.slope_name[j] = "c1" if fn.slopes[j] == values[0] else "c3"
 
-        one = QNum(1)
-        self.mids = []
-        for j in range(self.n):
-            hi = self.bks[j + 1] if j + 1 < self.n else one
-            self.mids.append((self.bks[j] + hi) / 2)
+        self.mids = [(lo + hi) / 2
+                     for lo, hi in map(fn.piece_bounds, range(self.n))]
 
         self._mirror_bk = [self._breakpoint_index((fn.f - x).mod1())
                            for x in self.bks]
@@ -193,12 +190,10 @@ class _Parametrization:
         return i
 
     def _piece_mirror(self, j: int) -> int:
-        one = QNum(1)
-        hi = self.bks[j + 1] if j + 1 < self.n else one
-        mlo = (self.fn.f - hi).mod1()
-        k = self._breakpoint_index(mlo)
-        mhi = self.bks[k + 1] if k + 1 < self.n else one
-        if (self.fn.f - self.bks[j]).mod1() not in (mhi, QNum(0)):
+        f = self.fn.f
+        lo, hi = self.fn.piece_bounds(j)
+        k = self._breakpoint_index((f - hi).mod1())
+        if (f - lo).mod1() not in (self.fn.piece_bounds(k)[1], QNum(0)):
             raise ValueError(f"piece {j} has no mirror piece")
         return k
 
@@ -282,10 +277,7 @@ def _check_slope_classes_covered(report, param: _Parametrization):
         raise ValueError(
             f"covering yields {len(result.components)} components; the "
             f"two-slope parametrization is not justified")
-    piece_lookup = {}
-    for j in range(param.n):
-        hi = param.bks[j + 1] if j + 1 < param.n else QNum(1)
-        piece_lookup[(param.bks[j], hi)] = j
+    piece_lookup = {param.fn.piece_bounds(j): j for j in range(param.n)}
     component_classes = []
     for comp in result.components:
         pieces = set()
@@ -305,8 +297,7 @@ def _check_slope_classes_covered(report, param: _Parametrization):
 
 
 def build_system(fn: PwlFunction, special_intervals, selected_faces,
-                 *, eliminate_symmetry: bool = True,
-                 check_covering: bool = True) -> LinearSystem:
+                 *, eliminate_symmetry: bool = True) -> LinearSystem:
     """Linear system for perturbations of fn from selected additive faces.
 
     ``selected_faces`` is a sequence of (face, vertex) pairs; every face
@@ -317,8 +308,7 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
     """
     param = _Parametrization(fn, special_intervals, eliminate_symmetry)
     report = additive_face_report(fn)
-    if check_covering:
-        _check_slope_classes_covered(report, param)
+    _check_slope_classes_covered(report, param)
 
     rows = []
     same = {}.setdefault  # one object per distinct coefficient value

@@ -255,6 +255,8 @@ def _interval_from_spec(coords, spec) -> Interval:
 
 def kzh_selected_faces(fn: PwlFunction):
     """The tabulated (face, vertex) pairs driving the 39-variable system."""
+    if len(fn.breakpoints) != 40:
+        raise ValueError(f"{len(fn.breakpoints)} breakpoints, not kzh's 40")
     cx = additive_face_report(fn).complex
     coords = _extended_coords(fn)
     out = []
@@ -307,9 +309,8 @@ def verify_kzh_perturbation_rank(stats, fn: PwlFunction | None = None):
         raise Refuted(f"dropping row {bad} ({system.rows[bad][0]}) leaves "
                       f"rank {ranks[bad]}, so it was redundant")
 
-    # the first system already matched the covering to the slope classes
     full = build_system(fn, fn.special_intervals, selected,
-                        eliminate_symmetry=False, check_covering=False)
+                        eliminate_symmetry=False)
     stats["full_n_vars"] = full.n_vars
     stats["full_nullity"] = full.nullspace_dim
     if full.nullspace_dim != 0:

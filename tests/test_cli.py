@@ -1,5 +1,6 @@
 """Command line surface: grammar on the wire, exit codes, file output."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 import groupcut
-from groupcut.cli import main
+from groupcut import diagram
+from groupcut.cli import _build_parser, main
 from groupcut.exactnum import QNum
 from groupcut.pwl import load, to_text
 from groupcut.catalog import (kzh_function, kzh_params, lifted_function,
@@ -33,8 +35,6 @@ def pair_files(tmp_path):
 def test_eval_examples(capsys):
     assert main(["eval", "kzh", "4/5"]) == 0
     assert capsys.readouterr().out == "1\n"
-    assert main(["eval", "kzh", "219/800", "--side", "plus"]) == 0
-    assert capsys.readouterr().out == "51443/147680\n"
     assert main(["eval", "psi", "0"]) == 0
     assert capsys.readouterr().out == "0\n"
 
@@ -46,8 +46,8 @@ def test_eval_lifted_at_a_moved_point(capsys):
     assert capsys.readouterr().out.strip() == str(lifted_function().eval(x))
 
 
-def test_eval_side_needs_piecewise_linear(capsys):
-    assert main(["eval", "kzh_lifted", "1/2", "--side", "plus"]) == 2
+def test_limit_needs_piecewise_linear(capsys):
+    assert main(["limit", "kzh_lifted", "1/2", "plus"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -90,20 +90,6 @@ def test_additive_faces_text(capsys):
         "F({0}, {0}, {0})" in out
 
 
-def test_additive_faces_json_and_svg(tmp_path, capsys):
-    jp = tmp_path / "faces.json"
-    assert main(["additive-faces", "psi", "--format", "json",
-                 "--out", str(jp)]) == 0
-    capsys.readouterr()
-    data = json.loads(jp.read_text())
-    assert data["schema"] == "groupcut-diagram/1"
-
-    sp = tmp_path / "faces.svg"
-    assert main(["additive-faces", "psi", "--format", "svg",
-                 "--out", str(sp)]) == 0
-    assert sp.read_text().startswith("<svg")
-
-
 def test_covering_output(capsys):
     assert main(["covering", "psi"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -122,6 +108,17 @@ def test_perturbation_rank_default(capsys):
 def test_perturbation_rank_rejects_other_functions(capsys):
     assert main(["perturbation-rank", "psi"]) == 2
     assert "kzh" in capsys.readouterr().err
+
+
+def test_perturbation_rank_refutes_a_short_file_named_kzh(tmp_path, capsys):
+    path = tmp_path / "kzh.txt"
+    path.write_text("name: kzh\nf: 1/2\nx | left | value | right\n"
+                    "0 | 0 | 0 | 0\n1/2 | 1 | 1 | 1\n")
+    assert main(["perturbation-rank", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "claim kzh_perturbation_rank: refuted" in out
+    assert "witness: 2 breakpoints, not kzh's 40" in out
+    assert err == ""
 
 
 def test_epsilon_lipschitz(pair_files, capsys):
@@ -187,6 +184,36 @@ def test_diagram_files(tmp_path, capsys):
     assert main(["diagram", "psi", "--format", "json", "--out", str(jp)]) == 0
     capsys.readouterr()
     assert json.loads(jp.read_text())["schema"] == "groupcut-diagram/1"
+
+
+def test_diagram_builds_only_the_requested_format(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("not asked for")
+
+    monkeypatch.setattr(diagram, "render_sidecar", refuse)
+    assert main(["diagram", "psi"]) == 0
+    assert capsys.readouterr().out.startswith("<svg")
+    monkeypatch.undo()
+    monkeypatch.setattr(diagram, "render_svg", refuse)
+    assert main(["diagram", "psi", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["schema"] == (
+        "groupcut-diagram/1")
+
+
+def test_cli_surface_is_pinned():
+    """Each subcommand's options; a new flag needs an edit here."""
+    subs = next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    surface = {name: sorted(s for a in p._actions for s in a.option_strings
+                            if s not in ("-h", "--help"))
+               for name, p in subs.choices.items()}
+    assert surface == {
+        "eval": [], "limit": [], "minimality": [], "additive-faces": [],
+        "covering": [], "perturbation-rank": [], "epsilon": ["--check"],
+        "verify": ["--json"], "catalog": ["--out"],
+        "diagram": ["--color-by-nf", "--format", "--no-additive",
+                    "--no-cones", "--out"],
+    }
 
 
 def test_file_based_function(tmp_path, capsys):

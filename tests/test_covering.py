@@ -46,6 +46,11 @@ def test_moves_record_translation_and_reflection():
         assert (b - a) == (d - c)
 
 
+def test_covering_is_built_once_per_analysis():
+    rep = additive_face_report(psi_function())
+    assert components(rep) is components(rep)
+
+
 def test_psi_covering_is_partial():
     res = components(additive_face_report(psi_function()))
     assert len(res.components) == 1

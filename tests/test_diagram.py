@@ -11,8 +11,8 @@ from groupcut.additivity import additive_face_report
 from groupcut.catalog import (kzh_params, lifted_function, psi_function,
                               psi_prime_function)
 from groupcut.diagram import (
-    SCHEMA, classification_digest, function_from_sidecar, render_diagram,
-    render_sidecar, render_svg, sidecar_to_json,
+    SCHEMA, classification_digest, function_from_sidecar, render_sidecar,
+    render_svg, sidecar_to_json,
 )
 
 Q = lambda *a: QNum(Fraction(*a))
@@ -120,12 +120,6 @@ def test_lifted_renders_its_base_with_a_note():
     data = render_sidecar(lf)
     assert "19/23998" in data["note"]
     assert function_from_sidecar(data).rows == lf.base.rows
-
-
-def test_render_diagram_pairs_svg_and_sidecar():
-    svg, data = render_diagram(psi_function())
-    assert svg == render_svg(psi_function())
-    assert data == render_sidecar(psi_function())
 
 
 def test_non_function_input_rejected():

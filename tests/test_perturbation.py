@@ -111,8 +111,7 @@ def test_build_system_rejects_non_additive_face():
     rep = additive_face_report(fn)
     bad = next(c.face for c in rep.faces if c.status != ADDITIVE)
     with pytest.raises(ValueError, match="not additive"):
-        build_system(fn, (), [(bad, bad.vertices[0])],
-                     check_covering=False)
+        build_system(fn, (), [(bad, bad.vertices[0])])
 
 
 def test_build_system_requires_two_slope_classes():

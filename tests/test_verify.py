@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from groupcut import covering
 from groupcut.exactnum import QNum
 from groupcut.complex2d import Complex2D
-from groupcut.pwl import parse_text, to_text
+from groupcut.pwl import PwlFunction, parse_text, to_text
 from groupcut.catalog import kzh_function, psi_function, psi_prime_function
 from groupcut.verify import (
     REFUTED, VERIFIED, ClaimReport, mutate_value,
@@ -105,6 +106,30 @@ def test_kzh_rank_verified():
     assert st["components"] == 2
     assert st["uncovered"] == [("219/800", "269/800"),
                                ("371/800", "421/800")]
+
+
+def test_kzh_rank_covers_kzh_once(monkeypatch):
+    built = []
+    real = covering._build
+
+    def counting(report):
+        built.append(report)
+        return real(report)
+
+    monkeypatch.setattr(covering, "_build", counting)
+    assert verify_kzh_perturbation_rank(parse_text(to_text(kzh_function())))
+    assert len(built) == 1
+
+
+def test_kzh_rank_refutes_a_kzh_without_its_breakpoints():
+    # two slope components and no special intervals, as the covering
+    # checks want, but not the 40 breakpoints the selected faces index
+    fn = PwlFunction.continuous_from_values([(0, 0), (Fraction(1, 2), 1)],
+                                            Fraction(1, 2), name="kzh")
+    rep = verify_kzh_perturbation_rank(fn)
+    assert rep.status == REFUTED
+    assert rep.witness == "2 breakpoints, not kzh's 40"
+    assert rep.statistics["components"] == 2
 
 
 # -- suite 4: lifting --------------------------------------------------------------
