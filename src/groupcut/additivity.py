@@ -18,9 +18,12 @@ finitely many vertex slacks:
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import product
+from functools import cached_property, partial
+from itertools import islice, product
+from operator import itemgetter
 
 from .complex2d import Complex2D, Face2D, n_f
 from .exactnum import QNum
@@ -30,8 +33,9 @@ ADDITIVE = "additive"
 LIMIT_ADDITIVE = "limit_additive"
 NON_ADDITIVE = "non_additive"
 
-# the 27 side triples, so that slack records share them
-_SIDE_TRIPLES = {t: t for t in product((MINUS, AT, PLUS), repeat=3)}
+# the 27 side triples, which the sweep's slack records share; triple t is
+# _SIDES[9 * (t[0] + 1) + 3 * (t[1] + 1) + t[2] + 1]
+_SIDES = tuple(product((MINUS, AT, PLUS), repeat=3))
 
 
 def vertex_sides(face: Face2D, vertex) -> tuple[int, int, int]:
@@ -55,7 +59,7 @@ def _sides(face: Face2D, u, v, s) -> tuple[int, int, int]:
             out.append(MINUS)
         else:
             out.append(AT)
-    return _SIDE_TRIPLES[tuple(out)]
+    return tuple(out)
 
 
 def _slack(limit, u, v, s, sides) -> QNum:
@@ -80,13 +84,22 @@ class SlackRecord:
     sides: tuple[int, int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class FaceClassification:
-    face: Face2D
-    # slack_0, sides_0, slack_1, sides_1, ...: vertex i of the face has its
-    # slack at 2i and its side triple at 2i + 1
-    slack_sides: tuple
-    status: str  # ADDITIVE / LIMIT_ADDITIVE / NON_ADDITIVE
+class FaceClassification(tuple):
+    """(face, slack_sides, status) of one face.
+
+    ``slack_sides`` is slack_0, sides_0, slack_1, sides_1, ...: vertex i
+    of the face has its slack at 2i and its side triple at 2i + 1.
+    ``status`` is ADDITIVE, LIMIT_ADDITIVE or NON_ADDITIVE.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, face: Face2D, slack_sides: tuple, status: str):
+        return tuple.__new__(cls, (face, slack_sides, status))
+
+    face = property(itemgetter(0))
+    slack_sides = property(itemgetter(1))
+    status = property(itemgetter(2))
 
     @property
     def slacks(self) -> tuple[SlackRecord, ...]:
@@ -101,60 +114,179 @@ class FaceClassification:
                      if slack == 0)
 
 
+_classified = partial(tuple.__new__, FaceClassification)
+
+
+class _Classifications(Sequence):
+    """The classification of each face of a complex, built when read.
+
+    Faces share their (slack_sides, status): kzh's 18,155 faces have
+    6,243.  So each face keeps only the index of its pair, and a kept
+    analysis holds no object per classification.
+    """
+
+    __slots__ = ("_faces", "_kind", "_slack_sides", "_status")
+
+    def __init__(self, faces, kind, slack_sides, status):
+        self._faces = faces
+        self._kind = kind  # per face, the index into the next two
+        self._slack_sides = slack_sides
+        self._status = status
+
+    def __len__(self) -> int:
+        return len(self._faces)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        k = self._kind[i]
+        return _classified((self._faces[i], self._slack_sides[k],
+                            self._status[k]))
+
+    def __iter__(self):
+        kind = self._kind
+        return map(_classified, zip(self._faces,
+                                    map(self._slack_sides.__getitem__, kind),
+                                    map(self._status.__getitem__, kind)))
+
+    def having(self, status: str):
+        """The classifications with this status, in face order; no other
+        face is built."""
+        data, kind = self._slack_sides, self._kind
+        wanted = [n for n, k in enumerate(kind) if self._status[k] == status]
+        return (_classified((face, data[kind[n]], status))
+                for n, face in zip(wanted, self._faces.at(wanted)))
+
+    def first_negative(self) -> FaceClassification | None:
+        """The first face with a negative vertex slack, or None; the shared
+        slack tuples are searched first."""
+        negative = {k for k, data in enumerate(self._slack_sides)
+                    if any(slack < 0 for slack in data[::2])}
+        if negative:
+            for i, k in enumerate(self._kind):
+                if k in negative:
+                    return self[i]
+        return None
+
+
 @dataclass
 class AdditivityReport:
     fn: PwlFunction
     complex: Complex2D
-    faces: tuple[FaceClassification, ...]
+    faces: Sequence[FaceClassification]
     # only covering.components touches it
     _covering: object = field(default=None, init=False, repr=False,
                               compare=False)
 
     @cached_property
-    def n_f(self) -> tuple[int, ...]:
+    def n_f(self) -> bytes:
         """n_F of each face against the function's special intervals,
-        parallel to ``faces``."""
+        parallel to ``faces``; each n_F is 0 to 3, so one byte holds it."""
         specials = self.fn.special_intervals
-        return tuple(n_f(fc.face, specials) for fc in self.faces)
-
-    @property
-    def additive_faces(self) -> list[Face2D]:
-        return [fc.face for fc in self.faces if fc.status == ADDITIVE]
-
-    @property
-    def limit_additive_faces(self) -> list[Face2D]:
-        return [fc.face for fc in self.faces if fc.status == LIMIT_ADDITIVE]
+        return bytes(n_f(face, specials) for face in self.complex.faces)
 
     def classification_of(self, face: Face2D) -> FaceClassification:
-        n = self.complex.face_index.get(face.vertices)
+        n = self.complex.index(face)
         if n is None:
             raise ValueError(f"{face.label()} is not a face of the complex")
         return self.faces[n]
 
 
 def classify_face(fn: PwlFunction, face: Face2D) -> FaceClassification:
-    return _classify(fn.limit, face, {}.setdefault)
-
-
-def _classify(limit, face: Face2D, same) -> FaceClassification:
-    """classify_face by limit(x, side); same(x, x) is the kept x of an
-    equal slack value or slack tuple."""
+    """Classify one face by ``fn.limit`` at each vertex: the reference
+    that the key sweep of ``additive_face_report`` is tested against."""
     data = []
-    zeros = 0
     for u, v in face.vertices:
         s = u + v
         sides = _sides(face, u, v, s)
-        slack = _slack(limit, u, v, s, sides)
-        zeros += slack == 0
-        data += (same(slack, slack), sides)
-    if zeros == len(face.vertices):
-        status = ADDITIVE
-    elif zeros > 0:
-        status = LIMIT_ADDITIVE
-    else:
-        status = NON_ADDITIVE
-    data = tuple(data)
-    return FaceClassification(face, same(data, data), status)
+        data += (_slack(fn.limit, u, v, s, sides), sides)
+    return FaceClassification(face, tuple(data), _status(data[::2]))
+
+
+def _status(slacks) -> str:
+    zeros = sum(slack == 0 for slack in slacks)
+    if zeros == len(slacks):
+        return ADDITIVE
+    return LIMIT_ADDITIVE if zeros else NON_ADDITIVE
+
+
+def _sweep(fn: PwlFunction, cx: Complex2D) -> _Classifications:
+    """Classify every face of cx on the integer keys of its enumeration.
+
+    The limits of each key are read once: a breakpoint's (left, value,
+    right) from its row, and any other coordinate, which lies inside a
+    piece, by one affine evaluation that holds for all three sides.  A
+    vertex's sides are int compares of its keys with the face's
+    projection-end keys.  Its slack is two QNum operations on limits, done
+    once per distinct triple of limit values, and slack values and slack
+    tuples are shared by value: kzh's 40,627 slacks take 5,975 such
+    triples, 388 values and 6,243 slack tuples.
+    """
+    keys = cx.take_keys()
+    rows = fn.rows
+    lim_index: dict[QNum, int] = {}  # each distinct limit value -> index
+    ids = [0] * (3 * max(keys.records) + 3)  # 3 key + side + 1 -> index
+    for key in set(keys.records):
+        r = keys.breakpoint(key)
+        if r is None:
+            v = fn.uncached_limit(keys.value(key).mod1(), AT)
+            triple = (v, v, v)
+        else:
+            triple = (rows[r].left, rows[r].value, rows[r].right)
+        for side, v in enumerate(triple):
+            ids[3 * key + side] = lim_index.setdefault(v, len(lim_index))
+    lims = list(lim_index)
+    M = len(lims)
+
+    slacks: list[QNum] = []  # the distinct slack values
+    slack_index: dict[QNum, int] = {}
+    by_limits: dict[int, int] = {}  # limit indices -> slacks index
+
+    def slack_of(a: int, b: int, c: int) -> int:
+        slack = lims[a] + lims[b] - lims[c]
+        n = slack_index.get(slack)
+        if n is None:
+            n = slack_index[slack] = len(slacks)
+            slacks.append(slack)
+        return n
+
+    # a face's slack codes -> the index of its slack_sides and status
+    shared: dict[tuple[int, ...], int] = {}
+    slack_sides: list[tuple] = []
+    status: list[str] = []
+    kind = array("I")
+    it = iter(keys.records)
+    triples = zip(it, it, it)
+    for count in keys.counts:
+        x0, x1, y0 = next(triples)
+        y1, s0, s1 = next(triples)
+        # side + 1 of a coordinate at the lower end of its projection:
+        # plus on a proper interval, at on a point
+        lx, ly, ls = 1 + (x0 != x1), 1 + (y0 != y1), 1 + (s0 != s1)
+        codes = []
+        for x, y, s in islice(triples, count):
+            sx = lx if x == x0 else 0 if x == x1 else 1
+            sy = ly if y == y0 else 0 if y == y1 else 1
+            ss = ls if s == s0 else 0 if s == s1 else 1
+            a, b, c = ids[3 * x + sx], ids[3 * y + sy], ids[3 * s + ss]
+            if a > b:  # the slack is symmetric in x and y
+                a, b = b, a
+            k = (a * M + b) * M + c
+            n = by_limits.get(k)
+            if n is None:
+                n = by_limits[k] = slack_of(a, b, c)
+            # the slack index and side triple of the vertex, as one int
+            codes.append(27 * n + 9 * sx + 3 * sy + ss)
+        codes = tuple(codes)
+        k = shared.get(codes)
+        if k is None:
+            k = shared[codes] = len(slack_sides)
+            data = tuple(x for c in codes
+                         for x in (slacks[c // 27], _SIDES[c % 27]))
+            slack_sides.append(data)
+            status.append(_status(data[::2]))
+        kind.append(k)
+    return _Classifications(cx.faces, kind, slack_sides, status)
 
 
 def additive_face_report(fn: PwlFunction) -> AdditivityReport:
@@ -166,22 +298,7 @@ def additive_face_report(fn: PwlFunction) -> AdditivityReport:
     report = fn._analysis
     if report is None:
         cx = Complex2D(fn.breakpoints)
-        # 40,627 slacks of kzh take 388 values and its 18,155 faces 6,243
-        # slack tuples: share one object for each
-        same = {}.setdefault
-        # the sweep's own limits, dropped when it ends: kzh asks 121,881
-        # limits at 3,679 (coordinate, side) pairs, each reduced mod 1 once
-        limits = {}
-
-        def limit(x, side):
-            got = limits.get((x, side))
-            if got is None:
-                got = limits[x, side] = fn.uncached_limit(x.mod1(), side)
-            return got
-
-        report = AdditivityReport(
-            fn, cx, tuple(_classify(limit, F, same) for F in cx.faces))
-        fn._analysis = report
+        report = fn._analysis = AdditivityReport(fn, cx, _sweep(fn, cx))
     return report
 
 
@@ -243,13 +360,14 @@ def minimality_test(fn: PwlFunction) -> MinimalityReport:
                     False, "symmetry",
                     {"x": t, "pairing": kind, "sum": total})
 
-    for fc in additive_face_report(fn).faces:
-        for vertex, slack in zip(fc.face.vertices, fc.slack_sides[::2]):
-            if slack < 0:
-                return MinimalityReport(
-                    False, "subadditivity",
-                    {"face": fc.face.label(), "vertex": vertex,
-                     "slack": slack})
+    fc = additive_face_report(fn).faces.first_negative()
+    if fc is not None:
+        vertex, slack = next((v, s) for v, s in zip(fc.face.vertices,
+                                                    fc.slack_sides[::2])
+                             if s < 0)
+        return MinimalityReport(False, "subadditivity",
+                                {"face": fc.face.label(), "vertex": vertex,
+                                 "slack": slack})
 
     return MinimalityReport(True)
 
@@ -283,8 +401,7 @@ def e_containment(fn1: PwlFunction, fn2: PwlFunction) -> EContainmentResult:
                 f"{type(fn).__name__}; non-PWL functions are compared at "
                 f"the face level by their dedicated verification suite")
     a1, a2 = ({fc.face.triple_key: fc.face
-               for fc in additive_face_report(g).faces
-               if fc.status == ADDITIVE}
+               for fc in additive_face_report(g).faces.having(ADDITIVE)}
               for g in (fn1.refine(fn2.breakpoints),
                         fn2.refine(fn1.breakpoints)))
     only1 = sorted(set(a1) - set(a2))

@@ -186,6 +186,11 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    if args.format == "json":
+        for flag in ("no_additive", "no_cones", "color_by_nf"):
+            if getattr(args, flag):
+                raise _InputError(f"--{flag.replace('_', '-')} applies to "
+                                  f"--format svg only")
     fn = _load(args.func)
     if args.format == "svg":
         text = diagram.render_svg(

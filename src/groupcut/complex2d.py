@@ -12,14 +12,19 @@ of the doubled complex in [0,2].  Each face is a polytope with at most
 six sides in the three directions x, y, x+y; its extreme points are
 computed exactly.  The complex is enumerated on integer ranks: each sum
 of two breakpoints is ranked once against the points of [0,2], and every
-vertex and projection test compares ranks.
+vertex and projection test compares ranks.  The same integer keys of
+every face are handed, once, to the slack sweep of the function's
+analysis (``FaceKeys``).
 """
 
 from __future__ import annotations
 
 import bisect
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key, partial
+from operator import itemgetter
 
 from .exactnum import QNum, format_qnum
 
@@ -59,18 +64,34 @@ class Interval:
         return "[%s, %s]" % (format_qnum(self.a), format_qnum(self.b))
 
 
-@dataclass(frozen=True, slots=True)
-class Face2D:
-    """A face F(I, J, K) with its extreme points, exactly computed."""
+class Face2D(tuple):
+    """A face F(I, J, K) with its extreme points, exactly computed.
 
-    I: Interval
-    J: Interval
-    K: Interval
-    vertices: tuple[Point, ...]  # lexicographically sorted
-    dim: int
-    p1: Interval  # projection on x
-    p2: Interval  # projection on y
-    p3: Interval  # projection on x+y
+    A face is the tuple (I, J, K, p1, p2, p3, *vertices): one object per
+    face, with no separate vertex tuple to keep.  p1, p2 and p3 are its
+    projections on x, y and x + y; its vertices are sorted.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, I: Interval, J: Interval, K: Interval, vertices,
+                p1: Interval, p2: Interval, p3: Interval):
+        return tuple.__new__(cls, (I, J, K, p1, p2, p3, *vertices))
+
+    I = property(itemgetter(0))
+    J = property(itemgetter(1))
+    K = property(itemgetter(2))
+    p1 = property(itemgetter(3))
+    p2 = property(itemgetter(4))
+    p3 = property(itemgetter(5))
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        return self[6:]
+
+    @property
+    def dim(self) -> int:
+        return min(len(self) - 7, 2)
 
     @property
     def triple_key(self):
@@ -81,6 +102,12 @@ class Face2D:
 
     def __str__(self) -> str:
         return self.label()
+
+    def __repr__(self) -> str:
+        return f"Face2D({self.label()}, vertices={self.vertices})"
+
+
+_face = partial(tuple.__new__, Face2D)
 
 
 def polygon_vertices(I: Interval, J: Interval, K: Interval) -> tuple[Point, ...]:
@@ -121,9 +148,8 @@ def make_face(I: Interval, J: Interval, K: Interval) -> Face2D | None:
     xs = [p[0] for p in verts]
     ys = [p[1] for p in verts]
     ss = [p[0] + p[1] for p in verts]
-    return Face2D(I, J, K, verts, min(len(verts) - 1, 2),
-                  Interval(min(xs), max(xs)), Interval(min(ys), max(ys)),
-                  Interval(min(ss), max(ss)))
+    return Face2D(I, J, K, verts, Interval(min(xs), max(xs)),
+                  Interval(min(ys), max(ys)), Interval(min(ss), max(ss)))
 
 
 def _cell(points, cells, t) -> Interval:
@@ -132,6 +158,19 @@ def _cell(points, cells, t) -> Interval:
         raise ValueError(f"{t} outside [{points[0]},{points[-1]}]")
     i = bisect.bisect_left(points, t)
     return cells[2 * i if points[i] == t else 2 * i - 1]
+
+
+def _cells_over(points, proj: Interval) -> range:
+    """Positions of the 1-D faces over ``points`` that contain ``proj``."""
+    a, b = proj.a, proj.b
+    i = bisect.bisect_right(points, a) - 1  # points[i] <= a < points[i + 1]
+    if i < 0 or b > points[-1]:
+        return range(0)
+    if a == b == points[i]:
+        return range(max(2 * i - 1, 0), min(2 * i + 2, 2 * len(points) - 1))
+    if b <= points[i + 1]:
+        return range(2 * i + 1, 2 * i + 2)
+    return range(0)
 
 
 def _one_dim_faces(points: list[QNum]) -> tuple[Interval, ...]:
@@ -144,8 +183,9 @@ def _one_dim_faces(points: list[QNum]) -> tuple[Interval, ...]:
     return tuple(faces)
 
 
-def _enumerate(P, G, faces_x, faces_k) -> tuple[Face2D, ...]:
-    """The faces over the grid P (points_x) and G (points_k), in order.
+def _enumerate(P, G, faces_x, faces_k) -> tuple[_FaceStore, FaceKeys]:
+    """The faces over the grid P (points_x) and G (points_k), in order,
+    and their keys.
 
     Each sum P[i] + P[j] is ranked once against G: 2k + 1 when it equals
     G[k], else twice the number of points of G below it.  The sum lies in
@@ -156,6 +196,8 @@ def _enumerate(P, G, faces_x, faces_k) -> tuple[Face2D, ...]:
     keyed x_key * W + y_key, with its coordinate put on a breakpoint
     whenever it equals one, so equal keys are equal points and point sets
     deduplicate on sorted keys.  Values are built once per distinct key.
+    Sum keys are offset by W where they share one key space with x and y
+    keys: in ``value``, in the projection spans and in the ``FaceKeys``.
     """
     n, m = len(P), len(G)
     rank = [0] * (n * n)  # rank[i*n + j]: rank of P[i] + P[j] against G
@@ -222,52 +264,160 @@ def _enumerate(P, G, faces_x, faces_k) -> tuple[Face2D, ...]:
             v = values[key] = same(v, v)
         return v
 
-    spans: dict[tuple[int, int], Interval] = {}
+    # the projection intervals, each distinct value once, by position
+    intervals = list(faces_x + faces_k)
     by_value = {}
-    for iv in faces_x + faces_k:
-        by_value.setdefault((iv.a, iv.b), iv)
+    for i, iv in enumerate(intervals):
+        by_value.setdefault((iv.a, iv.b), i)
+    spans: dict[tuple[int, int], int] = {}
 
     def span(a, b):
-        iv = spans.get((a, b))
-        if iv is None:
+        i = spans.get((a, b))
+        if i is None:
             lo, hi = value(a), value(b)
-            iv = by_value.get((lo, hi))
-            if iv is None:
-                iv = by_value[lo, hi] = Interval(lo, hi)
-            spans[a, b] = iv
-        return iv
+            i = by_value.get((lo, hi))
+            if i is None:
+                i = by_value[lo, hi] = len(intervals)
+                intervals.append(Interval(lo, hi))
+            spans[a, b] = i
+        return i
 
-    points: dict[int, Point] = {}
-    faces = []
+    point_at: dict[int, Point] = {}  # vertex key -> its point
+    point_of: dict[int, int] = {}  # vertex key -> position in point_at
+    coords: dict[int, tuple[int, int, int]] = {}  # vertex -> x, y, x+y keys
+    # the face store's arrays (see _FaceStore) and the sweep's keys
+    triples, proj, starts, verts = (array("Q"), array("I"), array("I", [0]),
+                                    array("I"))
+    nx, nk = len(faces_x), len(faces_k)
+    records = array("q")
+    counts = array("B")  # vertices per face
     for key, (fi, fj, fk) in found.items():
-        verts = []
         for vk in key:
-            p = points.get(vk)
-            if p is None:
+            if vk not in point_of:
                 x, y = divmod(vk, W)
-                p = points[vk] = (value(x), value(y))
-            verts.append(p)
-        verts.sort()
+                point_of[vk] = len(point_at)
+                point_at[vk] = (value(x), value(y))
+                if x >= n:  # x = G[k] - P[y]
+                    s = (x - n) // n
+                elif y >= n:
+                    s = (y - n) // n
+                else:
+                    r = rank[x * n + y]
+                    s = r >> 1 if r & 1 else m + x * n + y
+                coords[vk] = (x, y, W + s)
+        key = sorted(key, key=point_at.__getitem__)
         ia, ib, ja, jb = fi >> 1, (fi + 1) >> 1, fj >> 1, (fj + 1) >> 1
         ka, kb = fk >> 1, (fk + 1) >> 1
         ta, tb = 2 * ka + 1, 2 * kb + 1
-        # p1 = I & (K - J), p2 = J & (K - I), p3 = K & (I + J)
-        x0 = ia if rank[ia * n + jb] >= ta else n + ka * n + jb
-        x1 = ib if rank[ib * n + ja] <= tb else n + kb * n + ja
-        y0 = ja if rank[ib * n + ja] >= ta else n + ka * n + ib
-        y1 = jb if rank[ia * n + jb] <= tb else n + kb * n + ia
+        # p1 = I & (K - J), p2 = J & (K - I), p3 = K & (I + J); an end
+        # that equals a breakpoint is keyed as that breakpoint
         r0, r1 = rank[ia * n + ja], rank[ib * n + jb]
-        s0 = ka if r0 <= ta else m + ia * n + ja
-        s1 = kb if r1 >= tb else m + ib * n + jb
-        faces.append(Face2D(
-            faces_x[fi], faces_x[fj], faces_k[fk], tuple(verts),
-            min(len(verts) - 1, 2), span(x0, x1), span(y0, y1),
-            span(W + s0, W + s1)))
-    return tuple(faces)
+        rx, ry = rank[ib * n + ja], rank[ia * n + jb]
+        x0 = ia if ry >= ta else ib if r1 == ta else n + ka * n + jb
+        x1 = ib if rx <= tb else ia if r0 == tb else n + kb * n + ja
+        y0 = ja if rx >= ta else jb if r1 == ta else n + ka * n + ib
+        y1 = jb if ry <= tb else ja if r0 == tb else n + kb * n + ia
+        s0 = W + (ka if r0 <= ta else r0 >> 1 if r0 & 1 else m + ia * n + ja)
+        s1 = W + (kb if r1 >= tb else r1 >> 1 if r1 & 1 else m + ib * n + jb)
+        records.extend((x0, x1, y0, y1, s0, s1))
+        for vk in key:
+            records.extend(coords[vk])
+        counts.append(len(key))
+        triples.append((fi * nx + fj) * nk + fk)
+        proj.extend((span(x0, x1), span(y0, y1), span(s0, s1)))
+        verts.extend(map(point_of.__getitem__, key))
+        starts.append(len(verts))
+    store = _FaceStore(faces_x, faces_k, intervals, list(point_at.values()),
+                       triples, proj, starts, verts)
+    return store, FaceKeys(records, counts, value, n, m)
+
+
+class _FaceStore(Sequence):
+    """The faces of a complex, each built when read from a few indices.
+
+    A face is kept as the positions of its I, J and K among the 1-D
+    faces, packed as (fi * len(faces_x) + fj) * len(faces_k) + fk in
+    ``triples``, of its three projections among the distinct intervals
+    (``proj``) and of its vertices among the distinct points
+    (``verts[starts[n]:starts[n + 1]]``): about 30 bytes, where a built
+    kzh face takes 112.  Faces are in increasing (I, J, K) order.
+    """
+
+    __slots__ = ("_faces_x", "_faces_k", "_intervals", "_points",
+                 "_triples", "_proj", "_starts", "_verts")
+
+    def __init__(self, faces_x, faces_k, intervals, points, triples, proj,
+                 starts, verts):
+        self._faces_x, self._faces_k = faces_x, faces_k
+        self._intervals, self._points = intervals, points
+        self._triples, self._proj = triples, proj
+        self._starts, self._verts = starts, verts
+
+    def position(self, fi: int, fj: int, fk: int) -> int | None:
+        """Where the face of the triple (fi, fj, fk) is, if one is."""
+        t = (fi * len(self._faces_x) + fj) * len(self._faces_k) + fk
+        n = bisect.bisect_left(self._triples, t)
+        return n if n < len(self) and self._triples[n] == t else None
+
+    def __len__(self) -> int:
+        return len(self._triples)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self.at(range(len(self))[i]))
+        return next(self.at((range(len(self))[i],)))
+
+    def __iter__(self):
+        return self.at(range(len(self)))
+
+    def at(self, positions):
+        """The faces at these positions, built one by one."""
+        fx, fk, iv, pts = (self._faces_x, self._faces_k, self._intervals,
+                           self._points)
+        t, p, s, verts = self._triples, self._proj, self._starts, self._verts
+        nk = len(fk)
+        for n in positions:
+            ij, k = divmod(t[n], nk)
+            i, j = divmod(ij, len(fx))
+            yield _face((fx[i], fx[j], fk[k], iv[p[3 * n]], iv[p[3 * n + 1]],
+                         iv[p[3 * n + 2]],
+                         *map(pts.__getitem__, verts[s[n]:s[n + 1]])))
+
+
+class FaceKeys:
+    """The enumeration's integer keys of every face, for one sweep.
+
+    ``records`` holds, face after face in the order of ``faces``, the
+    keys of the six projection ends x0, x1, y0, y1, s0, s1, then the keys
+    of x, y and x + y of each of its ``counts[i]`` vertices in the order
+    of ``face.vertices``.  Keys are canonical: equal keys are equal coordinates, and a
+    coordinate that equals a breakpoint is keyed as one.  So a vertex's
+    side on each projection is an int compare with the face's end keys.
+    """
+
+    __slots__ = ("records", "counts", "value", "_n", "_m")
+
+    def __init__(self, records, counts, value, n, m):
+        self.records = records
+        self.counts = counts
+        self.value = value  # key -> its coordinate, in [0, 2]
+        self._n, self._m = n, m
+
+    def breakpoint(self, key: int) -> int | None:
+        """The index, mod 1, of the breakpoint that a key stands for, or
+        None when the coordinate lies inside a piece."""
+        n, m = self._n, self._m
+        W = n + m * n
+        if key < n:
+            return key % (n - 1)
+        if W <= key < W + m:
+            return (key - W) % (n - 1)
+        return None
 
 
 class Complex2D:
-    """All faces F(I, J, K) over one period, deduplicated by point set."""
+    """All faces F(I, J, K) over one period, deduplicated by point set;
+    ``faces`` builds each face when it is read."""
 
     def __init__(self, breakpoints):
         bk = [QNum.of(b) for b in breakpoints]
@@ -283,15 +433,34 @@ class Complex2D:
         points_k = list(self.points_x) + [p + 1 for p in bk[1:]] + [QNum(2)]
         self.points_k: tuple[QNum, ...] = tuple(points_k)
         self.faces_k = _one_dim_faces(points_k)
-        self.faces: tuple[Face2D, ...] = _enumerate(
+        self.faces: Sequence[Face2D]
+        self.faces, self._keys = _enumerate(
             self.points_x, self.points_k, self.faces_x, self.faces_k)
 
-    @cached_property
-    def face_index(self) -> dict[tuple[Point, ...], int]:
-        """Position in ``faces`` of each face, keyed by its vertices."""
-        return {face.vertices: n for n, face in enumerate(self.faces)}
+    def take_keys(self) -> FaceKeys:
+        """The faces' integer keys, handed over once and then dropped, so
+        that a kept complex does not hold them."""
+        keys, self._keys = self._keys, None
+        if keys is None:
+            raise ValueError("the face keys were already taken")
+        return keys
 
     # -- lookup -------------------------------------------------------------
+
+    def index(self, face: Face2D) -> int | None:
+        """Position in ``faces`` of the face with face's point set, or None.
+
+        The triple that represents a point set has each projection of the
+        set inside its I, J and K, so only those few triples are looked up.
+        """
+        for fi in _cells_over(self.points_x, face.p1):
+            for fj in _cells_over(self.points_x, face.p2):
+                for fk in _cells_over(self.points_k, face.p3):
+                    n = self.faces.position(fi, fj, fk)
+                    if n is not None and \
+                            self.faces[n].vertices == face.vertices:
+                        return n
+        return None
 
     def face_of_point(self, x, y) -> Face2D:
         """The unique face whose relative interior contains (x, y)."""
@@ -300,15 +469,16 @@ class Complex2D:
         face = make_face(_cell(self.points_x, self.faces_x, x),
                          _cell(self.points_x, self.faces_x, y),
                          _cell(self.points_k, self.faces_k, x + y))
-        if face is None:
+        n = None if face is None else self.index(face)
+        if n is None:
             raise ArithmeticError(f"no face of the complex holds ({x}, {y})")
-        return self.faces[self.face_index[face.vertices]]
+        return self.faces[n]
 
     def find_face(self, I: Interval, J: Interval, K: Interval) -> Face2D:
         face = make_face(I, J, K)
         if face is None:
             raise ValueError(f"F({I}, {J}, {K}) is empty")
-        n = self.face_index.get(face.vertices)
+        n = self.index(face)
         if n is None:
             raise ValueError(f"F({I}, {J}, {K}) is not a face of this complex")
         return self.faces[n]

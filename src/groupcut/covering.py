@@ -65,8 +65,8 @@ def directly_covered(report: AdditivityReport) -> list[Span]:
     """Projection interiors of all additive two-dimensional faces."""
     out: list[Span] = []
     seen = set()
-    for fc in report.faces:
-        if fc.status != ADDITIVE or fc.face.dim != 2:
+    for fc in report.faces.having(ADDITIVE):
+        if fc.face.dim != 2:
             continue
         for proj in (fc.face.p1, fc.face.p2, fc.face.p3):
             span = _reduce_span(proj.a, proj.b)
@@ -79,8 +79,8 @@ def directly_covered(report: AdditivityReport) -> list[Span]:
 def edge_connections(report: AdditivityReport) -> list[Move]:
     """Moves carried by additive one-dimensional faces."""
     moves: list[Move] = []
-    for fc in report.faces:
-        if fc.status != ADDITIVE or fc.face.dim != 1:
+    for fc in report.faces.having(ADDITIVE):
+        if fc.face.dim != 1:
             continue
         F = fc.face
         singletons = [p.is_point for p in (F.p1, F.p2, F.p3)]
@@ -205,8 +205,8 @@ def _build(report: AdditivityReport) -> CoveringResult:
         if full[i] and full[j]:
             uf.union(i, j)
 
-    for fc in report.faces:
-        if fc.status != ADDITIVE or fc.face.dim != 2:
+    for fc in report.faces.having(ADDITIVE):
+        if fc.face.dim != 2:
             continue
         ids = [piece_of(_reduce_span(p.a, p.b))
                for p in (fc.face.p1, fc.face.p2, fc.face.p3)]

@@ -1,19 +1,23 @@
 """Slacks, face classification, minimality, and E-set comparison."""
 
+import gc
 import random
+import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
 
 from groupcut import additivity
 from groupcut.exactnum import QNum
-from groupcut.pwl import BreakpointRow, PwlFunction
+from groupcut.pwl import BreakpointRow, PwlFunction, parse_text, to_text
 from groupcut.complex2d import Interval
 from groupcut.additivity import (ADDITIVE, LIMIT_ADDITIVE, NON_ADDITIVE,
                                  additive_face_report, classify_face,
                                  e_containment, minimality_test,
                                  slack_at, vertex_sides)
-from groupcut.catalog import psi_function, psi_prime_function
+from groupcut.catalog import (kzh_function, kzh_params, psi_function,
+                              psi_prime_function)
 from groupcut.diagram import render_sidecar
 
 from helpers import random_pwl, sampling_minimality_oracle
@@ -75,18 +79,22 @@ def test_classification_statuses():
             assert r.sides == vertex_sides(c.face, r.vertex)
 
 
+def _status_count(rep, status) -> int:
+    return sum(c.status == status for c in rep.faces)
+
+
 def test_psi_face_statistics():
     rep = additive_face_report(psi_function())
     assert len(rep.faces) == 289
-    assert len(rep.additive_faces) == 75
-    assert len(rep.limit_additive_faces) == 87
+    assert _status_count(rep, ADDITIVE) == 75
+    assert _status_count(rep, LIMIT_ADDITIVE) == 87
 
 
 def test_psi_prime_face_statistics():
     rep = additive_face_report(psi_prime_function())
     assert len(rep.faces) == 289  # same breakpoints, same complex
-    assert len(rep.additive_faces) == 102
-    assert len(rep.limit_additive_faces) == 39
+    assert _status_count(rep, ADDITIVE) == 102
+    assert _status_count(rep, LIMIT_ADDITIVE) == 39
 
 
 def test_report_caching_and_determinism():
@@ -122,12 +130,93 @@ def test_slack_records_are_read_from_the_flat_tuple():
 def test_classification_of_reads_the_complex_index():
     rep = additive_face_report(psi_function())
     for c in rep.faces[::17]:
-        assert rep.classification_of(c.face) is c
+        assert rep.classification_of(c.face) == c
     # a triangle of the coarser 1/2 grid, cut by psi's 1/8 grid
     outside = additive_face_report(gmic()).complex.find_face(
         Interval(0, H), Interval(0, H), Interval(0, H))
     with pytest.raises(ValueError, match="not a face of the complex"):
         rep.classification_of(outside)
+
+
+def _assert_sweep_is_the_reference(fn):
+    """Every face of the key sweep equals classify_face's fn.limit path."""
+    for c in additive_face_report(fn).faces:
+        ref = classify_face(fn, c.face)
+        assert (c.slack_sides, c.status) == (ref.slack_sides, ref.status), \
+            c.face.label()
+
+
+def test_key_sweep_matches_the_limit_path_on_random_tables():
+    rng = random.Random(20261019)
+    fns = [random_pwl(rng) for _ in range(40)]
+    assert sum(not fn.is_continuous for fn in fns) >= 5
+    for fn in fns:
+        _assert_sweep_is_the_reference(fn)
+
+
+def test_key_sweep_matches_the_limit_path_over_q_sqrt2():
+    p = kzh_params()
+    _assert_sweep_is_the_reference(PwlFunction.continuous_from_values(
+        [(Q(0), Q(0)), (p.a1, Q(1, 2)), (Q(1, 2), Q(1))], Q(1, 2),
+        name="irr"))
+    _assert_sweep_is_the_reference(kzh_function())
+
+
+def test_key_sweep_reads_an_end_on_a_breakpoint_as_that_breakpoint():
+    # F([0, 1/4], [0, 1/4], {1/2}) is the point (1/4, 1/4): the lower end
+    # of its x projection is 1/2 - 1/4, the breakpoint 1/4, so its sides
+    # are (at, at, at), and the jumps make any other side visible
+    q = Fraction(1, 4)
+    fn = PwlFunction([BreakpointRow.of(0, 0, 0, 0),
+                      BreakpointRow.of(q, Fraction(1, 8), q, Fraction(3, 8)),
+                      BreakpointRow.of(H, Fraction(5, 8), 1, Fraction(7, 8)),
+                      BreakpointRow.of(3 * q, H, H, H)], H)
+    rep = additive_face_report(fn)
+    face = rep.complex.find_face(Interval(0, q), Interval(0, q),
+                                 Interval(H, H))
+    assert face.vertices == ((Q(1, 4), Q(1, 4)),)
+    c = rep.classification_of(face)
+    assert c.slack_sides == (Q(-1, 2), (0, 0, 0))
+    _assert_sweep_is_the_reference(fn)
+
+
+# a kept kzh analysis after one classification_of, measured at 2,142,292
+# bytes (tracemalloc) and 17,578 reachable gc-tracked objects
+KZH_ANALYSIS_BYTES = 2_142_292
+KZH_ANALYSIS_OBJECTS = 17_578
+
+
+def _reachable_tracked(root) -> int:
+    """gc-tracked objects reachable from root, not through classes,
+    modules or functions."""
+    stop = (type, types.ModuleType, types.FunctionType,
+            types.BuiltinFunctionType, types.MethodType)
+    seen, stack, count = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, stop):
+            continue
+        seen.add(id(obj))
+        if gc.is_tracked(obj):
+            count += 1
+            stack.extend(gc.get_referents(obj))
+    return count
+
+
+def test_a_kept_kzh_analysis_stays_small():
+    fn = parse_text(to_text(kzh_function()))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = additive_face_report(fn)
+        report.classification_of(report.faces[0].face)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < KZH_ANALYSIS_BYTES * 1.05
+    assert _reachable_tracked(report) < KZH_ANALYSIS_OBJECTS * 1.02
 
 
 def test_n_f_is_computed_once_per_face(monkeypatch):
@@ -137,8 +226,8 @@ def test_n_f_is_computed_once_per_face(monkeypatch):
                         lambda face, sp: calls.append(face) or real(face, sp))
     fn = psi_function().with_special_intervals(((Q(1, 8), Q(3, 8)),))
     rep = additive_face_report(fn)
-    assert rep.n_f == tuple(real(fc.face, fn.special_intervals)
-                            for fc in rep.faces)
+    assert tuple(rep.n_f) == tuple(real(fc.face, fn.special_intervals)
+                                   for fc in rep.faces)
     assert set(rep.n_f) == {0, 1, 2, 3}
     render_sidecar(fn)
     assert rep.n_f is additive_face_report(fn).n_f

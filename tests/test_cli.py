@@ -200,6 +200,15 @@ def test_diagram_builds_only_the_requested_format(monkeypatch, capsys):
         "groupcut-diagram/1")
 
 
+@pytest.mark.parametrize("flag", ["--no-additive", "--no-cones",
+                                  "--color-by-nf"])
+def test_diagram_json_rejects_svg_flags(flag, capsys):
+    assert main(["diagram", "psi", "--format", "json", flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} applies to --format svg only\n"
+
+
 def test_cli_surface_is_pinned():
     """Each subcommand's options; a new flag needs an edit here."""
     subs = next(a for a in _build_parser()._actions
