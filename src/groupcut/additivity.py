@@ -38,19 +38,14 @@ NON_ADDITIVE = "non_additive"
 _SIDES = tuple(product((MINUS, AT, PLUS), repeat=3))
 
 
-def vertex_sides(face: Face2D, vertex) -> tuple[int, int, int]:
-    """Limit directions (for x, y, x+y) of the face at one of its points.
+def _sides(face: Face2D, u, v, s) -> tuple[int, int, int]:
+    """Limit directions (for x, y, x+y) of the face at its point (u, v).
 
     A coordinate sitting at the lower end of the face's projection is
     approached from above (plus), at the upper end from below (minus);
     anywhere else the genuine value is used (a singleton projection, or
     an interior point of a projection, which never hits a breakpoint).
     """
-    u, v = vertex
-    return _sides(face, u, v, u + v)
-
-
-def _sides(face: Face2D, u, v, s) -> tuple[int, int, int]:
     out = []
     for t, proj in ((u, face.p1), (v, face.p2), (s, face.p3)):
         if t == proj.a:

@@ -270,12 +270,6 @@ PLUS_CPLUS = "plus_Cplus"
 MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class CosetProfile:
-    reduced: tuple[Rat, Rat]
-    classification: str  # FIXED_C / PLUS_CPLUS / MINUS
-
-
 def reduced_pair(x: QNum) -> tuple[Rat, Rat]:
     """Canonical representative of x modulo the group generated by t1, t2.
 
@@ -306,7 +300,7 @@ def _c_keys() -> frozenset:
     return frozenset(map(reduced_pair, _c_representatives()))
 
 
-def coset_classify(x: QNum) -> CosetProfile:
+def coset_classify(x: QNum) -> str:
     """Coset class of a point interior to a special interval.
 
     A point of (l, u) is classified itself; a point of (f-u, f-l) by its
@@ -324,11 +318,11 @@ def coset_classify(x: QNum) -> CosetProfile:
         raise ValueError(f"{x} is not interior to a special interval")
     red = reduced_pair(y)
     if red in _c_keys():
-        return CosetProfile(red, FIXED_C)
+        return FIXED_C
     red_m = reduced_pair(p.l + p.u - y)
     # distinct unless the coset is reflection-fixed
     _check(red != red_m, f"{x} has a reflection-fixed coset outside C")
-    return CosetProfile(red, PLUS_CPLUS if red < red_m else MINUS)
+    return PLUS_CPLUS if red < red_m else MINUS
 
 
 _SIGN = {FIXED_C: 0, PLUS_CPLUS: 1, MINUS: -1}
@@ -371,7 +365,7 @@ class LiftedFunction:
             sign = -1
         else:
             return 0, None
-        cls = coset_classify(x).classification
+        cls = coset_classify(x)
         return sign * _SIGN[cls], cls
 
     def sigma(self, x) -> int:

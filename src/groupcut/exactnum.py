@@ -154,9 +154,6 @@ class QNum:
     def __abs__(self):
         return -self if _sign(self._p, self._q) < 0 else self
 
-    def conjugate(self) -> "QNum":
-        return _make(self._p, -self._q, self._d)
-
     # -- exact sign and order ---------------------------------------------
 
     def sign(self) -> int:

@@ -2,11 +2,11 @@
 
 A minimality-preserving perturbation of a piecewise linear function is
 parametrized here by a finite list of variables: one slope variable per
-slope class outside the special intervals, one value variable per
-breakpoint, and one midpoint-value variable per piece.  The symmetry
-relations (value and midpoint pairs through f must cancel) are either
-substituted away (``eliminate_symmetry=True``) or appended as extra
-equations.  Each selected additive face contributes one equation saying
+covering component, one value variable per breakpoint, and one
+midpoint-value variable per piece outside the special intervals.  The
+symmetry relations (value and midpoint pairs through f must cancel) are
+either substituted away (``eliminate_symmetry=True``) or appended as
+extra equations.  Each selected additive face contributes one equation saying
 the perturbed slack at its selected vertex stays zero.  Nullity zero of
 the resulting system certifies that no nonzero perturbation of this
 shape survives all the additivity constraints.
@@ -19,8 +19,7 @@ from functools import cached_property
 
 from .exactnum import QNum
 from .pwl import AT, PLUS, PwlFunction
-from .additivity import (ADDITIVE, additive_face_report, minimality_test,
-                         vertex_sides)
+from .additivity import ADDITIVE, additive_face_report, minimality_test
 from .covering import components as covering_components
 
 SLOPE = "slope"
@@ -31,7 +30,7 @@ MIDPOINT_VALUE = "midpoint_value"
 @dataclass(frozen=True)
 class PerturbVar:
     kind: str
-    index: int | str  # slope class name, or breakpoint / piece index
+    index: int | str  # slope variable name, or breakpoint / piece index
 
     @property
     def name(self) -> str:
@@ -105,14 +104,6 @@ class LinearSystem:
         rows = self.rows[:i] + self.rows[i + 1:]
         return LinearSystem(self.variables, rows)
 
-    def dump(self) -> str:
-        """One equation per line: label, then nonzero coefficients."""
-        lines = []
-        for label, coeffs in self.rows:
-            parts = [f"{n}={coeffs[n]}" for n in self.var_names if n in coeffs]
-            lines.append(f"{label} {' '.join(parts)}")
-        return "\n".join(lines) + "\n"
-
 
 def drop_one_ranks(system: LinearSystem) -> list[int]:
     """Rank of the system with each row left out in turn."""
@@ -133,27 +124,28 @@ class _Parametrization:
         self.n = len(self.bks)
         self._index = {x: i for i, x in enumerate(self.bks)}
 
+        piece = {fn.piece_bounds(j): j for j in range(self.n)}
         self.special_pieces = set()
         for lo, hi in special_intervals:
             lo, hi = QNum.of(lo), QNum.of(hi)
-            i = self._index.get(lo)
-            if i is None or i + 1 >= self.n or self.bks[i + 1] != hi:
+            if (lo, hi) not in piece:
                 raise ValueError(
                     f"special interval ({lo}, {hi}) is not a single piece")
-            self.special_pieces.add(i)
+            self.special_pieces.add(piece[lo, hi])
 
-        # exactly two slope classes outside the specials; the larger slope
-        # is named c1, the smaller c3
-        values = sorted({fn.slopes[j] for j in range(self.n)
-                         if j not in self.special_pieces}, reverse=True)
-        if len(values) != 2:
-            raise ValueError(
-                f"need exactly two slope classes outside the special "
-                f"intervals, found {len(values)}")
+        # one slope variable per covering component, in component order
+        comps = covering_components(additive_face_report(fn)).components
+        component = {span: k for k, comp in enumerate(comps)
+                     for span in comp.intervals}
         self.slope_name = {}
         for j in range(self.n):
             if j not in self.special_pieces:
-                self.slope_name[j] = "c1" if fn.slopes[j] == values[0] else "c3"
+                lo, hi = fn.piece_bounds(j)
+                k = component.get((lo, hi))
+                if k is None:
+                    raise ValueError(f"piece {j} ({lo}, {hi}) is in no "
+                                     f"covering component")
+                self.slope_name[j] = f"s{k}"
 
         self.mids = [(lo + hi) / 2
                      for lo, hi in map(fn.piece_bounds, range(self.n))]
@@ -169,7 +161,7 @@ class _Parametrization:
         self.m_sub = {j: self._mid_sub(j)
                       for j in range(self.n) if j not in self.special_pieces}
 
-        variables = [PerturbVar(SLOPE, "c1"), PerturbVar(SLOPE, "c3")]
+        variables = [PerturbVar(SLOPE, f"s{k}") for k in range(len(comps))]
         if eliminate:
             kept_v = sorted({i for i in range(self.n)
                              if self.v_sub[i].get(f"v{i}") == 1})
@@ -270,45 +262,19 @@ class _Parametrization:
         return out
 
 
-def _check_slope_classes_covered(report, param: _Parametrization):
-    """The slope classes must coincide with the covering components."""
-    result = covering_components(report)
-    if len(result.components) != 2:
-        raise ValueError(
-            f"covering yields {len(result.components)} components; the "
-            f"two-slope parametrization is not justified")
-    piece_lookup = {param.fn.piece_bounds(j): j for j in range(param.n)}
-    component_classes = []
-    for comp in result.components:
-        pieces = set()
-        for span in comp.intervals:
-            j = piece_lookup.get(span)
-            if j is None:
-                raise ValueError(f"component interval {span} is not a piece")
-            pieces.add(j)
-        names = {param.slope_name[j] for j in pieces}
-        if len(names) != 1:
-            raise ValueError("a covering component mixes slope classes")
-        component_classes.append((names.pop(), pieces))
-    by_name = dict(component_classes)
-    for j, name in param.slope_name.items():
-        if j not in by_name[name]:
-            raise ValueError(f"piece {j} not in its slope component")
-
-
 def build_system(fn: PwlFunction, special_intervals, selected_faces,
                  *, eliminate_symmetry: bool = True) -> LinearSystem:
     """Linear system for perturbations of fn from selected additive faces.
 
     ``selected_faces`` is a sequence of (face, vertex) pairs; every face
     must be additive (an equation derived from a non-additive face would
-    not be valid, so that is an error).  Returns the system with one row
-    per pair, plus explicit symmetry rows when ``eliminate_symmetry`` is
-    off.
+    not be valid, so that is an error), and every vertex one of the
+    face's vertices, whose limit sides the face's classification holds.
+    Returns the system with one row per pair, plus explicit symmetry rows
+    when ``eliminate_symmetry`` is off.
     """
     param = _Parametrization(fn, special_intervals, eliminate_symmetry)
     report = additive_face_report(fn)
-    _check_slope_classes_covered(report, param)
 
     rows = []
     same = {}.setdefault  # one object per distinct coefficient value
@@ -318,7 +284,12 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
             raise ValueError(
                 f"selected face {face.label()} is {cls.status}, not additive")
         u, v = (QNum.of(vertex[0]), QNum.of(vertex[1]))
-        s1, s2, s3 = vertex_sides(face, (u, v))
+        try:
+            i = cls.face.vertices.index((u, v))
+        except ValueError:
+            raise ValueError(f"({u}, {v}) is not a vertex of "
+                             f"{face.label()}") from None
+        s1, s2, s3 = cls.slack_sides[2 * i + 1]
         coeffs: dict[str, QNum] = {}
         for term, sign in ((param.expansion(u, s1), 1),
                            (param.expansion(v, s2), 1),

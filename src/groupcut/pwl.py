@@ -88,10 +88,6 @@ class PwlFunction:
     def breakpoints(self) -> tuple[QNum, ...]:
         return tuple(r.x for r in self.rows)
 
-    @property
-    def n_pieces(self) -> int:
-        return len(self.rows)
-
     @cached_property
     def slopes(self) -> tuple[QNum, ...]:
         """Slope of each open piece (x_i, x_{i+1}); the last piece ends at 1."""
@@ -233,16 +229,6 @@ class PwlFunction:
         label = self.name or "<anonymous>"
         return (f"PwlFunction({label}, f={self.f}, "
                 f"{len(self.rows)} breakpoints)")
-
-    # -- utility views ----------------------------------------------------------
-
-    def with_name(self, name: str) -> "PwlFunction":
-        return PwlFunction(self.rows, self.f, name=name,
-                           special_intervals=self.special_intervals)
-
-    def with_special_intervals(self, si) -> "PwlFunction":
-        return PwlFunction(self.rows, self.f, name=self.name,
-                           special_intervals=si)
 
 
 # -- text serialization ---------------------------------------------------------

@@ -12,7 +12,8 @@ from groupcut.exactnum import QNum
 import groupcut.catalog as cat
 from groupcut.catalog import (
     kzh_function, kzh_params, psi_function, psi_prime_function,
-    lifted_function, coset_classify, in_group_t, catalog_names, get,
+    lifted_function, coset_classify, in_group_t, reduced_pair, catalog_names,
+    get,
     FIXED_C, PLUS_CPLUS, MINUS,
 )
 
@@ -140,12 +141,10 @@ def test_group_membership():
 def test_coset_classification_is_shift_invariant():
     p = kzh_params()
     mid = (p.l + p.u) / QNum(2)
-    base = coset_classify(mid)
-    assert base.classification == FIXED_C
+    assert coset_classify(mid) == FIXED_C
     for shift in (p.t1, QNum(0) - p.t1, p.t2, QNum(0) - p.t2, p.t1 - p.t2):
-        prof = coset_classify(mid + shift)
-        assert prof.classification == base.classification
-        assert prof.reduced == base.reduced
+        assert coset_classify(mid + shift) == FIXED_C
+        assert reduced_pair(mid + shift) == reduced_pair(mid)
 
 
 def test_coset_classes_and_mirror():
@@ -153,9 +152,9 @@ def test_coset_classes_and_mirror():
     cases = [(p.l + p.t2, PLUS_CPLUS), (p.l + p.t1, PLUS_CPLUS),
              (p.u - p.t2, MINUS), ((p.l + p.u) / QNum(2), FIXED_C)]
     for x, want in cases:
-        assert coset_classify(x).classification == want
+        assert coset_classify(x) == want
         # the mirror point keeps its coset label on the reflected interval
-        assert coset_classify(p.f - x).classification == want
+        assert coset_classify(p.f - x) == want
 
 
 def test_coset_classify_rejects_boundary_and_outside():
@@ -218,7 +217,7 @@ def test_coset_key_matches_its_definition_on_lattices():
     for x in points:
         want = _reference_class(x)
         seen.add(want)
-        assert coset_classify(x).classification == want, x
+        assert coset_classify(x) == want, x
         assert lf.sigma(x) == (sign[want] if p.l < x < p.u
                                else -sign[want]), x
     assert seen == {FIXED_C, PLUS_CPLUS, MINUS}

@@ -2,13 +2,17 @@
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import groupcut
 from groupcut import diagram
@@ -265,3 +269,71 @@ def test_verify_all_json_output_is_pinned():
     digest = hashlib.sha256(done.stdout.encode()).hexdigest()
     assert digest == ("c7fb112ec65f59034123c759e65a0a2f"
                       "991737702fb9f5281addf624a5125eaf")
+
+
+# -- malformed tables through every command that reads one --------------------
+
+_BAD_NUMBERS = ("1/0", "abc", "0.5", "", "1e3", "2+", "sqrt2", "1/2/3")
+
+
+@st.composite
+def _tables(draw):
+    """The text of a small function table, made malformed at random."""
+    q = draw(st.integers(2, 6))
+    xs = sorted(draw(st.sets(st.integers(1, q - 1), max_size=3)) | {0})
+    rows = [[f"{x}/{q}"] + [f"{draw(st.integers(0, q))}/{q}"] * 3
+            for x in xs]
+    f = f"{draw(st.sampled_from(xs[1:] or [1]))}/{q}"
+    header = [f"name: {draw(st.sampled_from(['fz', 'kzh']))}"]
+    bad = draw(st.sets(st.sampled_from(
+        ("number", "unsorted", "duplicate", "three_columns", "f_outside",
+         "specials")), max_size=2))
+    if "number" in bad:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 3))] = draw(st.sampled_from(_BAD_NUMBERS))
+    if "unsorted" in bad:
+        rows.reverse()
+    if "duplicate" in bad:
+        rows.append(list(draw(st.sampled_from(rows))))
+    if "three_columns" in bad:
+        draw(st.sampled_from(rows)).pop()
+    if "f_outside" in bad:
+        f = draw(st.sampled_from(("0", "1", "-1/2", "3/2")))
+    header.append(f"f: {f}")
+    if "specials" in bad:
+        header.append("special_intervals: " + draw(st.sampled_from(
+            ("(1/4, 1/8)", "(0, 1/2", "(a, b)", "(1/8, 3/8) (5/8, 7/8)",
+             f"(0, {xs[-1]}/{q})", "(1/3, 1/3)"))))
+    lines = header + ["x | left | value | right"]
+    lines += [" | ".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_FORMS = (["minimality"], ["covering"], ["additive-faces"],
+          ["diagram", "--format", "svg"], ["diagram", "--format", "json"],
+          ["eval", "{}", "1/3"], ["limit", "{}", "1/3", "plus"],
+          ["epsilon", "scaling", "{}", "{}"],
+          ["epsilon", "lipschitz", "--check", "{}", "{}"],
+          ["perturbation-rank"])
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None)
+@given(_tables())
+def test_malformed_tables_end_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fn.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for form in _FORMS:
+            argv = [path if a == "{}" else a for a in form]
+            if "{}" not in form:
+                argv.append(path)
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, text)
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), \
+                    (argv, text, err.getvalue())

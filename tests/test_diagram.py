@@ -65,7 +65,8 @@ def test_no_additivity_means_no_shading():
 
 
 def test_nf_coloring():
-    fn = psi_function().with_special_intervals(((Q(1, 8), Q(3, 8)),))
+    psi = psi_function()
+    fn = PwlFunction(psi.rows, psi.f, special_intervals=((Q(1, 8), Q(3, 8)),))
     svg = render_svg(fn, color_by_nf=True)
     assert 'data-nf="1"' in svg
     assert "#d7e3f4" in svg

@@ -8,9 +8,10 @@ import pytest
 from groupcut.exactnum import QNum
 from groupcut.pwl import PwlFunction
 from groupcut.additivity import ADDITIVE, additive_face_report, minimality_test
+from groupcut.covering import components as covering_components
 from groupcut.perturbation import (
-    EpsilonResult, LinearSystem, PerturbVar, build_system, drop_one_ranks,
-    lipschitz_epsilon, scaling_epsilon, verify_effective,
+    SLOPE, EpsilonResult, LinearSystem, PerturbVar, build_system,
+    drop_one_ranks, lipschitz_epsilon, scaling_epsilon, verify_effective,
 )
 from groupcut.catalog import lifted_function
 
@@ -67,13 +68,11 @@ def test_drop_one_ranks_of_independent_rows():
     assert drop_one_ranks(sy) == [2, 2, 2]
 
 
-def test_drop_row_and_dump():
+def test_drop_row():
     sy = _toy_system()
     smaller = sy.drop_row(1)
     assert smaller.n_rows == 2 and smaller.rank == 2
-    lines = sy.dump().splitlines()
-    assert lines[0] == "r1 s_a=1 v3=-1"
-    assert len(lines) == 3
+    assert [label for label, _ in smaller.rows] == ["r1", "r3"]
 
 
 def test_rank_with_irrational_coefficients():
@@ -100,9 +99,9 @@ def test_build_system_from_two_slope_function():
                 if c.status == ADDITIVE and c.face.dim == 2]
     sy = build_system(fn, (), selected)
     assert sy.n_rows == len(selected)
-    # with no special intervals the unknowns are just the two slope classes,
-    # and the selected additive faces pin both
-    assert sy.var_names == ["c1", "c3"]
+    # with no special intervals the unknowns are just the slopes of the two
+    # covering components, and the selected additive faces pin both
+    assert sy.var_names == ["s0", "s1"]
     assert sy.rank == 2
 
 
@@ -114,12 +113,69 @@ def test_build_system_rejects_non_additive_face():
         build_system(fn, (), [(bad, bad.vertices[0])])
 
 
-def test_build_system_requires_two_slope_classes():
+def test_build_system_rejects_uncovered_piece():
+    # the flat pieces (1/8, 3/8) and (5/8, 7/8) are left uncovered
     fn = PwlFunction.continuous_from_values(
         [(0, 0), (Fraction(1, 8), H), (Fraction(3, 8), H), (H, 1),
          (Fraction(5, 8), H), (Fraction(7, 8), H)], H)
-    with pytest.raises(ValueError, match="slope classes"):
+    with pytest.raises(ValueError,
+                       match=r"piece 1 \(1/8, 3/8\) is in no covering"):
         build_system(fn, (), [])
+
+
+def test_build_system_with_a_covered_special_piece():
+    fn = PwlFunction.continuous_from_values(
+        [(0, 0), (Fraction(1, 4), 1), (H, 0), (Fraction(3, 4), 1)],
+        Fraction(1, 4))
+    assert len(covering_components(additive_face_report(fn)).components) == 2
+    sy = build_system(fn, ((0, Fraction(1, 4)),), [])
+    assert [v.name for v in sy.variables if v.kind == SLOPE] == ["s0", "s1"]
+
+
+def test_build_system_takes_the_last_piece_as_a_special_interval():
+    # (3/4, 1) ends at 1, not at a breakpoint; its mirror through f = 1/4
+    # is (1/4, 1/2)
+    fn = PwlFunction.continuous_from_values(
+        [(0, 0), (Fraction(1, 4), 1), (H, 0), (Fraction(3, 4), 1)],
+        Fraction(1, 4))
+    specials = ((Fraction(1, 4), H), (Fraction(3, 4), 1))
+    assert build_system(fn, specials, []).var_names == ["s0", "s1", "v2"]
+    with pytest.raises(ValueError, match="not symmetric"):
+        build_system(fn, specials[1:], [])
+    with pytest.raises(ValueError, match="not a single piece"):
+        build_system(fn, ((H, 1),), [])
+
+
+def _gj_forward_3_slope():
+    # gj_forward_3_slope(f=4/5, lambda1=4/9, lambda2=2/3)
+    return PwlFunction.continuous_from_values(
+        [(0, 0), (Fraction(1, 9), Fraction(5, 9)),
+         (Fraction(8, 45), Fraction(2, 9)), (Fraction(28, 45), Fraction(7, 9)),
+         (Fraction(31, 45), Fraction(4, 9)), (Fraction(4, 5), 1)],
+        Fraction(4, 5))
+
+
+def test_build_system_with_three_covering_components():
+    fn = _gj_forward_3_slope()
+    assert minimality_test(fn)
+    rep = additive_face_report(fn)
+    assert len(covering_components(rep).components) == 3
+    selected = [(c.face, v) for c in rep.faces.having(ADDITIVE)
+                for v in c.face.vertices]
+    sy = build_system(fn, (), selected)
+    assert sy.var_names[:3] == ["s0", "s1", "s2"]
+    assert sy.n_vars == sy.rank == 7
+
+
+def test_build_system_rejects_a_point_that_is_not_a_vertex():
+    fn = PwlFunction.continuous_from_values([(0, 0), (H, 1)], H)
+    rep = additive_face_report(fn)
+    face = next(c.face for c in rep.faces
+                if c.status == ADDITIVE and c.face.dim == 2)
+    (x0, y0), (x1, y1) = face.vertices[:2]
+    inside = ((x0 + x1) / 2, (y0 + y1) / 2)
+    with pytest.raises(ValueError, match="is not a vertex of F"):
+        build_system(fn, (), [(face, inside)])
 
 
 # -- step-size constants on the midpoint instance --------------------------------

@@ -30,7 +30,7 @@ def step() -> PwlFunction:
 def test_construction_invariants():
     fn = gmic()
     assert fn.breakpoints == (QNum(0), QNum(Fraction(4, 5)))
-    assert fn.n_pieces == 2
+    assert len(fn.slopes) == 2
     assert fn.f == Fraction(4, 5)
     assert fn.is_continuous
     with pytest.raises(ValueError):
@@ -186,7 +186,8 @@ def test_parse_text_rejects_garbage():
 def test_special_intervals_must_align():
     fn = gmic()
     assert fn.special_intervals == ()
-    tagged = fn.with_special_intervals(((0, Fraction(4, 5)),))
+    tagged = PwlFunction(fn.rows, fn.f,
+                         special_intervals=((0, Fraction(4, 5)),))
     assert tagged.special_intervals == ((QNum(0), QNum(Fraction(4, 5))),)
 
 
