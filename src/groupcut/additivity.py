@@ -22,7 +22,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import islice, product
+from itertools import product
 from operator import itemgetter
 
 from .complex2d import Complex2D, Face2D, n_f
@@ -217,14 +217,15 @@ def _sweep(fn: PwlFunction, cx: Complex2D) -> _Classifications:
     tuples are shared by value: kzh's 40,627 slacks take 5,975 such
     triples, 388 values and 6,243 slack tuples.
     """
-    keys = cx.take_keys()
+    coords, faces = cx.keys()
     rows = fn.rows
     lim_index: dict[QNum, int] = {}  # each distinct limit value -> index
-    ids = [0] * (3 * max(keys.records) + 3)  # 3 key + side + 1 -> index
-    for key in set(keys.records):
-        r = keys.breakpoint(key)
+    keys = {key for xys in coords for key in xys}
+    ids = [0] * (3 * max(keys) + 3)  # 3 key + side + 1 -> index
+    for key in keys:
+        t, r = cx.coordinate(key)
         if r is None:
-            v = fn.uncached_limit(keys.value(key).mod1(), AT)
+            v = fn.uncached_limit(t.mod1(), AT)
             triple = (v, v, v)
         else:
             triple = (rows[r].left, rows[r].value, rows[r].right)
@@ -250,16 +251,13 @@ def _sweep(fn: PwlFunction, cx: Complex2D) -> _Classifications:
     slack_sides: list[tuple] = []
     status: list[str] = []
     kind = array("I")
-    it = iter(keys.records)
-    triples = zip(it, it, it)
-    for count in keys.counts:
-        x0, x1, y0 = next(triples)
-        y1, s0, s1 = next(triples)
+    for (x0, x1, y0, y1, s0, s1), points in faces:
         # side + 1 of a coordinate at the lower end of its projection:
         # plus on a proper interval, at on a point
         lx, ly, ls = 1 + (x0 != x1), 1 + (y0 != y1), 1 + (s0 != s1)
         codes = []
-        for x, y, s in islice(triples, count):
+        for p in points:
+            x, y, s = coords[p]
             sx = lx if x == x0 else 0 if x == x1 else 1
             sy = ly if y == y0 else 0 if y == y1 else 1
             ss = ls if s == s0 else 0 if s == s1 else 1
@@ -297,6 +295,22 @@ def additive_face_report(fn: PwlFunction) -> AdditivityReport:
     return report
 
 
+def _analyses(fns, kin=()) -> list[AdditivityReport]:
+    """The analyses of functions over one breakpoint set, on one complex:
+    that of the first analysed function of fns, or else of kin, over these
+    breakpoints, or else the one ``additive_face_report`` builds."""
+    bks = fns[0].breakpoints
+    if any(g.breakpoints != bks for g in fns):
+        raise ValueError("the functions have different breakpoints")
+    cx = next((g._analysis.complex for g in (*fns, *kin)
+               if g._analysis is not None and g.breakpoints == bks), None)
+    for g in fns:
+        if g._analysis is None and cx is not None:
+            g._analysis = AdditivityReport(g, cx, _sweep(g, cx))
+        cx = additive_face_report(g).complex
+    return [g._analysis for g in fns]
+
+
 # -- minimality ------------------------------------------------------------
 
 
@@ -327,6 +341,11 @@ def minimality_test(fn: PwlFunction) -> MinimalityReport:
     function's analysis; the cheap checks come first so that a function
     failing them never pays for the analysis.
     """
+    return _minimality(fn, ())
+
+
+def _minimality(fn: PwlFunction, kin) -> MinimalityReport:
+    # minimality_test, analysing fn, if it gets that far, by _analyses
     f = fn.f
 
     if fn.eval(0) != 0:
@@ -355,7 +374,7 @@ def minimality_test(fn: PwlFunction) -> MinimalityReport:
                     False, "symmetry",
                     {"x": t, "pairing": kind, "sum": total})
 
-    fc = additive_face_report(fn).faces.first_negative()
+    fc = _analyses((fn,), kin)[0].faces.first_negative()
     if fc is not None:
         vertex, slack = next((v, s) for v, s in zip(fc.face.vertices,
                                                     fc.slack_sides[::2])
@@ -396,17 +415,11 @@ def e_containment(fn1: PwlFunction, fn2: PwlFunction) -> EContainmentResult:
                 f"{type(fn).__name__}; non-PWL functions are compared at "
                 f"the face level by their dedicated verification suite")
     a1, a2 = ({fc.face.triple_key: fc.face
-               for fc in additive_face_report(g).faces.having(ADDITIVE)}
-              for g in (fn1.refine(fn2.breakpoints),
-                        fn2.refine(fn1.breakpoints)))
-    only1 = sorted(set(a1) - set(a2))
-    only2 = sorted(set(a2) - set(a1))
-    w1 = a1[only1[0]] if only1 else None
-    w2 = a2[only2[0]] if only2 else None
-    if not only1 and not only2:
-        return EContainmentResult("equal")
-    if not only1:
-        return EContainmentResult("strict_subset", None, w2)
-    if not only2:
-        return EContainmentResult("strict_superset", w1, None)
-    return EContainmentResult("incomparable", w1, w2)
+               for fc in report.faces.having(ADDITIVE)}
+              for report in _analyses((fn1.refine(fn2.breakpoints),
+                                       fn2.refine(fn1.breakpoints))))
+    only1, only2 = a1.keys() - a2.keys(), a2.keys() - a1.keys()
+    relation = ("incomparable" if only1 and only2 else "strict_superset"
+                if only1 else "strict_subset" if only2 else "equal")
+    return EContainmentResult(relation, a1[min(only1)] if only1 else None,
+                              a2[min(only2)] if only2 else None)

@@ -104,17 +104,12 @@ def _cmd_additive_faces(args) -> int:
 
 
 def _cmd_covering(args) -> int:
-    fn = _load_pwl(args.func)
-    report = additive_face_report(fn)
-    result = covering_components(report)
+    result = covering_components(additive_face_report(_load_pwl(args.func)))
     for i, comp in enumerate(result.components):
         ivs = " ".join(f"({a}, {b})" for a, b in comp.intervals)
         print(f"component {i}: {ivs}")
-    if result.uncovered:
-        print("uncovered: " + " ".join(f"({a}, {b})"
-                                       for a, b in result.uncovered))
-    else:
-        print("uncovered: none")
+    print("uncovered: " + (" ".join(f"({a}, {b})" for a, b in
+                                    result.uncovered) or "none"))
     print(f"moves: {len(result.moves)}")
     return 0
 

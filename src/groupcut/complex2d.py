@@ -12,9 +12,11 @@ of the doubled complex in [0,2].  Each face is a polytope with at most
 six sides in the three directions x, y, x+y; its extreme points are
 computed exactly.  The complex is enumerated on integer ranks: each sum
 of two breakpoints is ranked once against the points of [0,2], and every
-vertex and projection test compares ranks.  The same integer keys of
-every face are handed, once, to the slack sweep of the function's
-analysis (``FaceKeys``).
+vertex and projection test compares ranks.  The complex keeps that rank
+table and the integer key of each distinct vertex, and works out every
+face's keys again for each slack sweep that asks (``Complex2D.keys``), so
+the analyses of any number of functions over one breakpoint set read one
+complex.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cmp_to_key, partial
+from itertools import pairwise
 from operator import itemgetter
 
 from .exactnum import QNum, format_qnum
@@ -183,9 +186,9 @@ def _one_dim_faces(points: list[QNum]) -> tuple[Interval, ...]:
     return tuple(faces)
 
 
-def _enumerate(P, G, faces_x, faces_k) -> tuple[_FaceStore, FaceKeys]:
+def _enumerate(cx: Complex2D):
     """The faces over the grid P (points_x) and G (points_k), in order,
-    and their keys.
+    the rank table and the key of each distinct vertex.
 
     Each sum P[i] + P[j] is ranked once against G: 2k + 1 when it equals
     G[k], else twice the number of points of G below it.  The sum lies in
@@ -197,8 +200,9 @@ def _enumerate(P, G, faces_x, faces_k) -> tuple[_FaceStore, FaceKeys]:
     whenever it equals one, so equal keys are equal points and point sets
     deduplicate on sorted keys.  Values are built once per distinct key.
     Sum keys are offset by W where they share one key space with x and y
-    keys: in ``value``, in the projection spans and in the ``FaceKeys``.
+    keys: in ``value``, in the projection spans and in ``Complex2D.keys``.
     """
+    P, G, faces_x, faces_k = cx.points_x, cx.points_k, cx.faces_x, cx.faces_k
     n, m = len(P), len(G)
     rank = [0] * (n * n)  # rank[i*n + j]: rank of P[i] + P[j] against G
     for i in range(n):
@@ -251,16 +255,7 @@ def _enumerate(P, G, faces_x, faces_k) -> tuple[_FaceStore, FaceKeys]:
     def value(key):  # a sum key w is passed as W + w
         v = values.get(key)
         if v is None:
-            if key < n:
-                v = P[key]
-            elif key < W:
-                k, j = divmod(key - n, n)
-                v = G[k] - P[j]
-            elif key < W + m:
-                v = G[key - W]
-            else:
-                i, j = divmod(key - W - m, n)
-                v = P[i] + P[j]
+            v = cx.coordinate(key)[0]
             v = values[key] = same(v, v)
         return v
 
@@ -284,52 +279,48 @@ def _enumerate(P, G, faces_x, faces_k) -> tuple[_FaceStore, FaceKeys]:
 
     point_at: dict[int, Point] = {}  # vertex key -> its point
     point_of: dict[int, int] = {}  # vertex key -> position in point_at
-    coords: dict[int, tuple[int, int, int]] = {}  # vertex -> x, y, x+y keys
-    # the face store's arrays (see _FaceStore) and the sweep's keys
+    # the face store's arrays (see _FaceStore)
     triples, proj, starts, verts = (array("Q"), array("I"), array("I", [0]),
                                     array("I"))
     nx, nk = len(faces_x), len(faces_k)
-    records = array("q")
-    counts = array("B")  # vertices per face
     for key, (fi, fj, fk) in found.items():
         for vk in key:
             if vk not in point_of:
                 x, y = divmod(vk, W)
                 point_of[vk] = len(point_at)
                 point_at[vk] = (value(x), value(y))
-                if x >= n:  # x = G[k] - P[y]
-                    s = (x - n) // n
-                elif y >= n:
-                    s = (y - n) // n
-                else:
-                    r = rank[x * n + y]
-                    s = r >> 1 if r & 1 else m + x * n + y
-                coords[vk] = (x, y, W + s)
-        key = sorted(key, key=point_at.__getitem__)
+        triples.append((fi * nx + fj) * nk + fk)
+        verts.extend(map(point_of.__getitem__,
+                         sorted(key, key=point_at.__getitem__)))
+        starts.append(len(verts))
+    for x0, x1, y0, y1, s0, s1 in _end_keys(rank, n, m, triples, nx, nk):
+        proj.extend((span(x0, x1), span(y0, y1), span(s0, s1)))
+    store = _FaceStore(faces_x, faces_k, intervals, list(point_at.values()),
+                       triples, proj, starts, verts)
+    return store, rank, array("q", point_at)
+
+
+def _end_keys(rank, n, m, triples, nx, nk):
+    """Per packed triple, the end keys x0, x1, y0, y1, s0, s1 of its face's
+    projections p1 = I & (K - J), p2 = J & (K - I) and p3 = K & (I + J); an
+    end on a breakpoint is keyed as that breakpoint."""
+    W = n + m * n
+    for t in triples:
+        ij, fk = divmod(t, nk)
+        fi, fj = divmod(ij, nx)
         ia, ib, ja, jb = fi >> 1, (fi + 1) >> 1, fj >> 1, (fj + 1) >> 1
         ka, kb = fk >> 1, (fk + 1) >> 1
         ta, tb = 2 * ka + 1, 2 * kb + 1
-        # p1 = I & (K - J), p2 = J & (K - I), p3 = K & (I + J); an end
-        # that equals a breakpoint is keyed as that breakpoint
         r0, r1 = rank[ia * n + ja], rank[ib * n + jb]
         rx, ry = rank[ib * n + ja], rank[ia * n + jb]
-        x0 = ia if ry >= ta else ib if r1 == ta else n + ka * n + jb
-        x1 = ib if rx <= tb else ia if r0 == tb else n + kb * n + ja
-        y0 = ja if rx >= ta else jb if r1 == ta else n + ka * n + ib
-        y1 = jb if ry <= tb else ja if r0 == tb else n + kb * n + ia
-        s0 = W + (ka if r0 <= ta else r0 >> 1 if r0 & 1 else m + ia * n + ja)
-        s1 = W + (kb if r1 >= tb else r1 >> 1 if r1 & 1 else m + ib * n + jb)
-        records.extend((x0, x1, y0, y1, s0, s1))
-        for vk in key:
-            records.extend(coords[vk])
-        counts.append(len(key))
-        triples.append((fi * nx + fj) * nk + fk)
-        proj.extend((span(x0, x1), span(y0, y1), span(s0, s1)))
-        verts.extend(map(point_of.__getitem__, key))
-        starts.append(len(verts))
-    store = _FaceStore(faces_x, faces_k, intervals, list(point_at.values()),
-                       triples, proj, starts, verts)
-    return store, FaceKeys(records, counts, value, n, m)
+        yield (ia if ry >= ta else ib if r1 == ta else n + ka * n + jb,
+               ib if rx <= tb else ia if r0 == tb else n + kb * n + ja,
+               ja if rx >= ta else jb if r1 == ta else n + ka * n + ib,
+               jb if ry <= tb else ja if r0 == tb else n + kb * n + ia,
+               W + (ka if r0 <= ta else r0 >> 1 if r0 & 1
+                    else m + ia * n + ja),
+               W + (kb if r1 >= tb else r1 >> 1 if r1 & 1
+                    else m + ib * n + jb))
 
 
 class _FaceStore(Sequence):
@@ -384,37 +375,6 @@ class _FaceStore(Sequence):
                          *map(pts.__getitem__, verts[s[n]:s[n + 1]])))
 
 
-class FaceKeys:
-    """The enumeration's integer keys of every face, for one sweep.
-
-    ``records`` holds, face after face in the order of ``faces``, the
-    keys of the six projection ends x0, x1, y0, y1, s0, s1, then the keys
-    of x, y and x + y of each of its ``counts[i]`` vertices in the order
-    of ``face.vertices``.  Keys are canonical: equal keys are equal coordinates, and a
-    coordinate that equals a breakpoint is keyed as one.  So a vertex's
-    side on each projection is an int compare with the face's end keys.
-    """
-
-    __slots__ = ("records", "counts", "value", "_n", "_m")
-
-    def __init__(self, records, counts, value, n, m):
-        self.records = records
-        self.counts = counts
-        self.value = value  # key -> its coordinate, in [0, 2]
-        self._n, self._m = n, m
-
-    def breakpoint(self, key: int) -> int | None:
-        """The index, mod 1, of the breakpoint that a key stands for, or
-        None when the coordinate lies inside a piece."""
-        n, m = self._n, self._m
-        W = n + m * n
-        if key < n:
-            return key % (n - 1)
-        if W <= key < W + m:
-            return (key - W) % (n - 1)
-        return None
-
-
 class Complex2D:
     """All faces F(I, J, K) over one period, deduplicated by point set;
     ``faces`` builds each face when it is read."""
@@ -434,16 +394,48 @@ class Complex2D:
         self.points_k: tuple[QNum, ...] = tuple(points_k)
         self.faces_k = _one_dim_faces(points_k)
         self.faces: Sequence[Face2D]
-        self.faces, self._keys = _enumerate(
-            self.points_x, self.points_k, self.faces_x, self.faces_k)
+        self.faces, self._rank, self._vertex_keys = _enumerate(self)
 
-    def take_keys(self) -> FaceKeys:
-        """The faces' integer keys, handed over once and then dropped, so
-        that a kept complex does not hold them."""
-        keys, self._keys = self._keys, None
-        if keys is None:
-            raise ValueError("the face keys were already taken")
-        return keys
+    def keys(self):
+        """The faces' integer keys, worked out anew for each sweep: coords,
+        the x, y and x + y keys of each distinct point, and for each face
+        in order its projection-end keys x0, x1, y0, y1, s0, s1 and the
+        positions of its vertices among the points.  Equal keys are equal
+        coordinates, and a coordinate on a breakpoint is keyed as one, so
+        a vertex's side on a projection is an int compare with the ends.
+        """
+        rank, n, m = self._rank, len(self.points_x), len(self.points_k)
+        W = n + m * n
+        coords = []
+        for vk in self._vertex_keys:
+            x, y = divmod(vk, W)
+            if x >= n or y >= n:  # on the line x + y = G[k]
+                s = (max(x, y) - n) // n
+            else:
+                r = rank[x * n + y]
+                s = r >> 1 if r & 1 else m + x * n + y
+            coords.append((x, y, W + s))
+        starts, verts = self.faces._starts, self.faces._verts
+        return coords, zip(
+            _end_keys(rank, n, m, self.faces._triples, len(self.faces_x),
+                      len(self.faces_k)),
+            (verts[a:b] for a, b in pairwise(starts)))
+
+    def coordinate(self, key: int) -> tuple[QNum, int | None]:
+        """The coordinate of a key (a sum key w as W + w), and the index,
+        mod 1, of the breakpoint it is, or None inside a piece."""
+        P, G = self.points_x, self.points_k
+        n, m = len(P), len(G)
+        W = n + m * n
+        if key < n:
+            return P[key], key % (n - 1)
+        if key < W:
+            k, j = divmod(key - n, n)
+            return G[k] - P[j], None
+        if key < W + m:
+            return G[key - W], (key - W) % (n - 1)
+        i, j = divmod(key - W - m, n)
+        return P[i] + P[j], None
 
     # -- lookup -------------------------------------------------------------
 
@@ -482,11 +474,6 @@ class Complex2D:
         if n is None:
             raise ValueError(f"F({I}, {J}, {K}) is not a face of this complex")
         return self.faces[n]
-
-    @property
-    def piece_intervals(self) -> list[Interval]:
-        """The closed 1-D pieces [p_i, p_{i+1}] over [0,1]."""
-        return [f for f in self.faces_x if not f.is_point]
 
 
 def n_f(face: Face2D, specials) -> int:

@@ -168,7 +168,7 @@ def components(report: AdditivityReport) -> CoveringResult:
 
 
 def _build(report: AdditivityReport) -> CoveringResult:
-    piece_faces = report.complex.piece_intervals
+    piece_faces = report.complex.faces_x[1::2]  # [p_i, p_{i+1}]
     piece_spans = [(p.a, p.b) for p in piece_faces]
     los = [p.a for p in piece_faces]
 

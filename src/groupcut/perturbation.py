@@ -19,7 +19,8 @@ from functools import cached_property
 
 from .exactnum import QNum
 from .pwl import AT, PLUS, PwlFunction
-from .additivity import ADDITIVE, additive_face_report, minimality_test
+from .additivity import (ADDITIVE, _analyses, _minimality,
+                         additive_face_report, minimality_test)
 from .covering import components as covering_components
 
 SLOPE = "slope"
@@ -366,8 +367,8 @@ def scaling_epsilon(fn: PwlFunction, pert: PwlFunction) -> QNum:
 
     # on the common refined complex; for continuous functions a vertex
     # slack is the plain delta at the vertex, whatever its sides
-    base, bar = (additive_face_report(g) for g in (
-        fn.refine(pert.breakpoints), pert.refine(fn.breakpoints)))
+    base, bar = _analyses((fn.refine(pert.breakpoints),
+                           pert.refine(fn.breakpoints)))
     slacks = {r1.vertex: (r1.slack, r2.slack)
               for c1, c2 in zip(base.faces, bar.faces)
               for r1, r2 in zip(c1.slacks, c2.slacks)}
@@ -397,11 +398,11 @@ class EffectiveResult:
 
 
 def verify_effective(fn: PwlFunction, pert: PwlFunction, eps) -> EffectiveResult:
-    """Check that fn +/- eps*pert are both minimal."""
+    """Check that fn +/- eps*pert are both minimal, on one complex."""
     if not isinstance(pert, PwlFunction):
         raise TypeError("perturbation must be piecewise linear to verify "
                         "minimality exactly")
-    eps = QNum.of(eps)
-    shifted = pert.scale(eps)
-    return EffectiveResult(plus=minimality_test(fn + shifted),
-                           minus=minimality_test(fn - shifted))
+    shifted = pert.scale(QNum.of(eps))
+    plus, minus = fn + shifted, fn - shifted
+    return EffectiveResult(plus=_minimality(plus, (fn, pert)),
+                           minus=_minimality(minus, (fn, pert, plus)))

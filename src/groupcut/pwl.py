@@ -22,6 +22,7 @@ AT = 0
 PLUS = 1
 
 SIDE_NAMES = {"minus": MINUS, "at": AT, "plus": PLUS}
+LIMIT_CACHE_SIZE = 8192  # then the memo is emptied; verify_lifted fills 3,241
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,8 @@ class PwlFunction:
         key = (x, side)
         got = self._limit_cache.get(key)
         if got is None:
+            if len(self._limit_cache) >= LIMIT_CACHE_SIZE:
+                self._limit_cache.clear()
             got = self._limit_cache[key] = self.uncached_limit(x, side)
         return got
 

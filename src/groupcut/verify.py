@@ -15,8 +15,8 @@ from functools import wraps
 from .exactnum import QNum
 from .pwl import PwlFunction, BreakpointRow
 from .complex2d import Interval, centroid, n_f
-from .additivity import (ADDITIVE, additive_face_report, e_containment,
-                         minimality_test, slack_at)
+from .additivity import (ADDITIVE, _analyses, _minimality,
+                         additive_face_report, e_containment, slack_at)
 from .covering import components as covering_components
 from .perturbation import build_system, drop_one_ranks
 from . import catalog
@@ -98,13 +98,16 @@ def verify_psi_separation(stats, psi: PwlFunction | None = None,
     psi_prime = (psi_prime if psi_prime is not None
                  else catalog.psi_prime_function())
 
+    # one complex per breakpoint set (see additivity._analyses)
     for fn, tag in ((psi, "psi"), (psi_prime, "psi_prime")):
-        rep = minimality_test(fn)
+        rep = _minimality(fn, (psi,))
         stats[f"minimal_{tag}"] = bool(rep)
         if not rep:
             raise Refuted(f"{tag} not minimal: {rep}")
+    both = (psi.refine(psi_prime.breakpoints),
+            psi_prime.refine(psi.breakpoints))
 
-    rel = e_containment(psi, psi_prime)
+    rel = e_containment(*both)
     stats["containment"] = rel.relation
     if rel.relation != "strict_subset":
         wit = f"e_containment(psi, psi_prime) = {rel.relation}"
@@ -130,8 +133,7 @@ def verify_psi_separation(stats, psi: PwlFunction | None = None,
     # vanishing slack of psi does not vanish for it.  Slack is linear in
     # the function, so its slacks are those of psi_prime less those of psi
     # on the common complex.
-    rep_psi = additive_face_report(psi.refine(psi_prime.breakpoints))
-    rep_prime = additive_face_report(psi_prime.refine(psi.breakpoints))
+    rep_psi, rep_prime = _analyses(both)
     found = next(((c1.face, r1, r2)
                   for c1, c2 in zip(rep_psi.faces, rep_prime.faces)
                   for r1, r2 in zip(c1.slacks, c2.slacks)
@@ -242,15 +244,11 @@ _KZH_SELECTED = [
 def _extended_coords(fn: PwlFunction) -> list[QNum]:
     # index i < 40 is breakpoint i; index 40 + i is breakpoint i shifted by
     # one period, so index 40 itself is the point 1
-    one = QNum(1)
-    base = list(fn.breakpoints)
-    return base + [x + one for x in base]
+    return list(fn.breakpoints) + [x + 1 for x in fn.breakpoints]
 
 
 def _interval_from_spec(coords, spec) -> Interval:
-    if len(spec) == 1:
-        return Interval(coords[spec[0]], coords[spec[0]])
-    return Interval(coords[spec[0]], coords[spec[1]])
+    return Interval(coords[spec[0]], coords[spec[-1]])
 
 
 def kzh_selected_faces(fn: PwlFunction):

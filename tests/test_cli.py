@@ -321,6 +321,12 @@ _FORMS = (["minimality"], ["covering"], ["additive-faces"],
 @settings(max_examples=100, deadline=None)
 @given(_tables())
 def test_malformed_tables_end_in_an_exit_code(text):
+    _assert_exit_codes(text)
+
+
+def _assert_exit_codes(text):
+    """Every command form on the table exits 0, 1 or 2, and 2 with one
+    ``error:`` line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fn.txt")
         with open(path, "w") as fh:
@@ -337,3 +343,66 @@ def test_malformed_tables_end_in_an_exit_code(text):
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), \
                     (argv, text, err.getvalue())
+
+
+# -- huge parts and nearly cancelling Q(sqrt2) numbers ------------------------
+
+
+def _sqrt2_convergent(n: int) -> tuple[int, int]:
+    """p, q with p/q the n-th convergent of sqrt2, so p - q*sqrt2 is about
+    1/(2.8 q) in size."""
+    p, q = 1, 1
+    for _ in range(n):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+@st.composite
+def _hostile_number(draw) -> str:
+    e = draw(st.integers(20, 300))
+    k = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(("big", "tiny", "above_one", "below_one",
+                                 "cancelling", "near_grid")))
+    if kind == "big":
+        return f"{draw(st.sampled_from(('', '-')))}{10 ** e + k}"
+    if kind == "tiny":
+        return f"{k}/{10 ** e}"
+    if kind == "above_one":
+        return f"{10 ** e + k}/{10 ** e}"
+    if kind == "below_one":
+        return f"{10 ** e - k}/{10 ** e}"
+    # p + q*sqrt2 with p/q a convergent of -sqrt2: parts near 10^e, value
+    # within 10^-e of 0, or of a grid point
+    p, q = _sqrt2_convergent(draw(st.integers(1, int(e * 2.61))))
+    shift = Fraction(k, 10) if kind == "near_grid" else 0
+    return f"{-p + shift} + {q}*sqrt2"
+
+
+@st.composite
+def _hostile_tables(draw):
+    """The text of a small function table with hostile numbers in it."""
+    q = draw(st.integers(2, 6))
+    xs = sorted(draw(st.sets(st.integers(1, q - 1), max_size=3)) | {0})
+    rows = [[f"{x}/{q}"] + [f"{draw(st.integers(0, q))}/{q}"] * 3
+            for x in xs]
+    f = f"{draw(st.sampled_from(xs[1:] or [1]))}/{q}"
+    for _ in range(draw(st.integers(1, 3))):
+        spot = draw(st.integers(0, 4 * len(rows)))
+        number = draw(_hostile_number())
+        if spot == 4 * len(rows):
+            f = number
+        elif spot % 4 and draw(st.booleans()):  # a continuous row
+            rows[spot // 4][1:] = [number] * 3
+        else:
+            rows[spot // 4][spot % 4] = number
+    lines = [f"name: {draw(st.sampled_from(['fz', 'kzh']))}", f"f: {f}",
+             "x | left | value | right"]
+    lines += [" | ".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(_hostile_tables())
+def test_hostile_numbers_end_in_an_exit_code(text):
+    _assert_exit_codes(text)

@@ -177,7 +177,7 @@ def test_psi_separation_builds_one_complex_per_function(monkeypatch):
     psi, prime = (parse_text(to_text(f()))
                   for f in (psi_function, psi_prime_function))
     assert verify_psi_separation(psi, prime)
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 # -- the refutations ------------------------------------------------------------
