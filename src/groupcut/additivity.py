@@ -22,7 +22,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import product
+from itertools import compress, product
 from operator import itemgetter
 
 from .complex2d import Complex2D, Face2D, n_f
@@ -144,11 +144,21 @@ class _Classifications(Sequence):
                                     map(self._slack_sides.__getitem__, kind),
                                     map(self._status.__getitem__, kind)))
 
+    def positions(self, status: str) -> list[int]:
+        """The positions of the faces with this status, in order."""
+        hit = [s == status for s in self._status]
+        return list(compress(range(len(self._kind)),
+                             map(hit.__getitem__, self._kind)))
+
+    def kinds(self):
+        """Per face the index of its slack tuple, and the slack tuples."""
+        return self._kind, self._slack_sides
+
     def having(self, status: str):
         """The classifications with this status, in face order; no other
         face is built."""
         data, kind = self._slack_sides, self._kind
-        wanted = [n for n, k in enumerate(kind) if self._status[k] == status]
+        wanted = self.positions(status)
         return (_classified((face, data[kind[n]], status))
                 for n, face in zip(wanted, self._faces.at(wanted)))
 
@@ -414,12 +424,12 @@ def e_containment(fn1: PwlFunction, fn2: PwlFunction) -> EContainmentResult:
                 f"e_containment needs piecewise linear inputs, got "
                 f"{type(fn).__name__}; non-PWL functions are compared at "
                 f"the face level by their dedicated verification suite")
-    a1, a2 = ({fc.face.triple_key: fc.face
-               for fc in report.faces.having(ADDITIVE)}
-              for report in _analyses((fn1.refine(fn2.breakpoints),
-                                       fn2.refine(fn1.breakpoints))))
-    only1, only2 = a1.keys() - a2.keys(), a2.keys() - a1.keys()
+    r1, r2 = _analyses((fn1.refine(fn2.breakpoints),
+                        fn2.refine(fn1.breakpoints)))
+    a1, a2 = (set(r.faces.positions(ADDITIVE)) for r in (r1, r2))
+    only1, only2 = a1 - a2, a2 - a1
     relation = ("incomparable" if only1 and only2 else "strict_superset"
                 if only1 else "strict_subset" if only2 else "equal")
-    return EContainmentResult(relation, a1[min(only1)] if only1 else None,
-                              a2[min(only2)] if only2 else None)
+    faces = r1.complex.faces  # in (I, J, K), that is triple_key, order
+    return EContainmentResult(relation, faces[min(only1)] if only1 else None,
+                              faces[min(only2)] if only2 else None)

@@ -350,6 +350,13 @@ class _FaceStore(Sequence):
         n = bisect.bisect_left(self._triples, t)
         return n if n < len(self) and self._triples[n] == t else None
 
+    def ids(self):
+        """intervals, points, proj, starts, verts: face n has projections
+        intervals[i] for i in proj[3n:3n + 3] and vertices points[v] for v
+        in verts[starts[n]:starts[n + 1]]; equal ids are equal values."""
+        return (self._intervals, self._points, self._proj, self._starts,
+                self._verts)
+
     def __len__(self) -> int:
         return len(self._triples)
 

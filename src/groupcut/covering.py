@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .additivity import ADDITIVE, AdditivityReport
 from .complex2d import Face2D
@@ -61,47 +62,61 @@ def _reduce_span(a: QNum, b: QNum) -> Span:
     return (a, b)
 
 
+def _additive(report: AdditivityReport):
+    """By position: the 2-D faces' reduced projection spans, in order, to
+    their pieces; each 1-D face's move with its ends' pieces; the pieces of
+    each 2-D face's projections.  Only the 1-D faces are built."""
+    P = report.complex.points_x
+    intervals, _, proj, starts, _ = report.complex.faces.ids()
+    placed = {}
+
+    def place(i: int):  # -> (interval, reduced span, piece)
+        out = placed.get(i)
+        if out is None:
+            iv = intervals[i]
+            a, b = _reduce_span(iv.a, iv.b)
+            k = bisect.bisect_right(P, a, 0, len(P) - 1) - 1
+            if b > P[k + 1]:
+                raise ValueError(f"span ({a}, {b}) crosses a breakpoint")
+            out = placed[i] = (iv, (a, b), k)
+        return out
+
+    flat, edges = [], []  # the 2-D faces' projection ids; the 1-D faces
+    for n in report.faces.positions(ADDITIVE):
+        if starts[n + 1] - starts[n] == 2:
+            edges.append(n)
+        elif starts[n + 1] - starts[n] > 2:
+            flat += proj[3 * n:3 * n + 3]
+    direct = {}
+    for i in dict.fromkeys(flat):
+        _, span, k = place(i)
+        direct.setdefault(span, k)
+    links = {tuple(place(i)[2] for i in flat[t:t + 3])
+             for t in range(0, len(flat), 3)}
+    moves = []
+    for n, F in zip(edges, report.complex.faces.at(edges)):
+        (v1, s1, i), (v2, s2, j), (v3, s3, k) = map(place,
+                                                    proj[3 * n:3 * n + 3])
+        # an edge of the complex is vertical, horizontal, or antidiagonal
+        if v3.is_point:
+            moves.append((Move("reflection", v3.a, s1, s2, F), i, j))
+        elif v1.is_point:
+            moves.append((Move("translation", v1.a, s2, s3, F), j, k))
+        elif v2.is_point:
+            moves.append((Move("translation", v2.a, s1, s3, F), i, k))
+        else:
+            raise ArithmeticError(f"{F.label()} is not an edge of a complex")
+    return direct, moves, links
+
+
 def directly_covered(report: AdditivityReport) -> list[Span]:
     """Projection interiors of all additive two-dimensional faces."""
-    out: list[Span] = []
-    seen = set()
-    for fc in report.faces.having(ADDITIVE):
-        if fc.face.dim != 2:
-            continue
-        for proj in (fc.face.p1, fc.face.p2, fc.face.p3):
-            span = _reduce_span(proj.a, proj.b)
-            if span not in seen:
-                seen.add(span)
-                out.append(span)
-    return out
+    return list(_additive(report)[0])
 
 
 def edge_connections(report: AdditivityReport) -> list[Move]:
     """Moves carried by additive one-dimensional faces."""
-    moves: list[Move] = []
-    for fc in report.faces.having(ADDITIVE):
-        if fc.face.dim != 1:
-            continue
-        F = fc.face
-        singletons = [p.is_point for p in (F.p1, F.p2, F.p3)]
-        # an edge of the complex is vertical, horizontal, or antidiagonal
-        if not any(singletons):
-            raise ArithmeticError(f"{F.label()} is not an edge of a complex")
-        if singletons[2]:
-            center = F.p3.a
-            moves.append(Move("reflection", center,
-                              (F.p1.a, F.p1.b), (F.p2.a, F.p2.b), F))
-        elif singletons[0]:
-            shift = F.p1.a
-            moves.append(Move("translation", shift,
-                              (F.p2.a, F.p2.b),
-                              _reduce_span(F.p3.a, F.p3.b), F))
-        else:
-            shift = F.p2.a
-            moves.append(Move("translation", shift,
-                              (F.p1.a, F.p1.b),
-                              _reduce_span(F.p3.a, F.p3.b), F))
-    return moves
+    return [mv for mv, _, _ in _additive(report)[1]]
 
 
 class _PieceCover:
@@ -168,26 +183,16 @@ def components(report: AdditivityReport) -> CoveringResult:
 
 
 def _build(report: AdditivityReport) -> CoveringResult:
-    piece_faces = report.complex.faces_x[1::2]  # [p_i, p_{i+1}]
-    piece_spans = [(p.a, p.b) for p in piece_faces]
-    los = [p.a for p in piece_faces]
-
-    def piece_of(span: Span) -> int:
-        a, b = span
-        i = bisect.bisect_right(los, a) - 1
-        if not (piece_spans[i][0] <= a and b <= piece_spans[i][1]):
-            raise ValueError(f"span ({a}, {b}) crosses a breakpoint")
-        return i
-
+    piece_spans = list(pairwise(report.complex.points_x))  # [p_i, p_{i+1}]
+    direct, moves, links = _additive(report)
     covers = [_PieceCover(lo, hi) for lo, hi in piece_spans]
-    for a, b in directly_covered(report):
-        covers[piece_of((a, b))].add(a, b)
-    moves = edge_connections(report)
-    # each move both ways, with the pieces of its two ends found once
+    for (a, b), i in direct.items():
+        covers[i].add(a, b)
+    # each distinct move both ways
     arrows = []
-    for mv in moves:
-        i, j = piece_of(mv.src), piece_of(mv.dst)
-        arrows += ((i, mv.src, j, mv.dst), (j, mv.dst, i, mv.src))
+    for i, src, j, dst in dict.fromkeys((i, mv.src, j, mv.dst)
+                                        for mv, i, j in moves):
+        arrows += ((i, src, j, dst), (j, dst, i, src))
 
     # propagate full source intervals across moves until stable
     changed = True
@@ -205,13 +210,9 @@ def _build(report: AdditivityReport) -> CoveringResult:
         if full[i] and full[j]:
             uf.union(i, j)
 
-    for fc in report.faces.having(ADDITIVE):
-        if fc.face.dim != 2:
-            continue
-        ids = [piece_of(_reduce_span(p.a, p.b))
-               for p in (fc.face.p1, fc.face.p2, fc.face.p3)]
-        connect(ids[0], ids[1])
-        connect(ids[0], ids[2])
+    for i, j, k in links:
+        connect(i, j)
+        connect(i, k)
     for i, _, j, _ in arrows[::2]:
         connect(i, j)
 
@@ -222,4 +223,4 @@ def _build(report: AdditivityReport) -> CoveringResult:
     comps = [CoveredComponent([piece_spans[i] for i in groups[root]])
              for root in sorted(groups)]
     uncov = [piece_spans[i] for i, ok in enumerate(full) if not ok]
-    return CoveringResult(comps, uncov, moves)
+    return CoveringResult(comps, uncov, [mv for mv, _, _ in moves])

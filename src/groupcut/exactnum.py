@@ -306,12 +306,16 @@ def parse_qnum(text: str) -> QNum:
 
 def format_qnum(x: QNumLike) -> str:
     """Canonical text form: rational part first, then the sqrt2 term."""
-    q = QNum.of(x)
-    a, b = q.a, q.b
-    if b == 0:
-        return str(a)
-    if a == 0:
-        return f"{b}*sqrt2"
-    if b > 0:
-        return f"{a} + {b}*sqrt2"
-    return f"{a} - {-b}*sqrt2"
+    x = QNum.of(x)
+    p, q, d = x._p, x._q, x._d
+    if q == 0:  # the canonical form has gcd(p, d) = 1
+        return str(p) if d == 1 else f"{p}/{d}"
+    if p == 0:
+        return f"{_ratio(q, d)}*sqrt2"
+    return f"{_ratio(p, d)} {'+' if q > 0 else '-'} {_ratio(abs(q), d)}*sqrt2"
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, as str(Fraction(n, d)) writes it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"

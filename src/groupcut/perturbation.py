@@ -332,16 +332,19 @@ def lipschitz_epsilon(fn: PwlFunction, pert: PwlFunction) -> EpsilonResult:
     if not pert.is_continuous:
         raise ValueError("perturbation has jumps; this bound needs a "
                          "continuous perturbation")
+    if fn.f != pert.f:
+        raise ValueError("cannot combine functions with different f")
     if not minimality_test(fn):
         raise ValueError("base function is not minimal")
 
-    records = [r for fc in additive_face_report(fn).faces for r in fc.slacks]
-    m = min((r.slack for r in records if r.slack > 0), default=None)
+    report = additive_face_report(fn)
+    m = min((slack for data in report.faces.kinds()[1] for slack in data[::2]
+             if slack > 0), default=None)
     if m is None:
         raise ValueError("base function has no positive vertex slack")
 
-    points = {r.vertex for r in records}
-    M = max(abs(pert.delta(u, v)) for u, v in points)
+    # the complex's distinct points are the vertices of its faces
+    M = max(abs(pert.delta(u, v)) for u, v in report.complex.faces.ids()[1])
     if M == 0:
         raise ValueError("perturbation is additive at every complex vertex; "
                          "the bound degenerates")
@@ -364,24 +367,28 @@ def scaling_epsilon(fn: PwlFunction, pert: PwlFunction) -> QNum:
             raise TypeError(f"{what} must be piecewise linear")
         if not g.is_continuous:
             raise ValueError(f"{what} has jumps; scaling needs continuity")
+    if fn.f != pert.f:
+        raise ValueError("cannot combine functions with different f")
 
     # on the common refined complex; for continuous functions a vertex
-    # slack is the plain delta at the vertex, whatever its sides
+    # slack is the plain delta at the vertex, whatever its face and sides
     base, bar = _analyses((fn.refine(pert.breakpoints),
                            pert.refine(fn.breakpoints)))
-    slacks = {r1.vertex: (r1.slack, r2.slack)
-              for c1, c2 in zip(base.faces, bar.faces)
-              for r1, r2 in zip(c1.slacks, c2.slacks)}
-    best = None
-    for (u, v), (dpi, dbar) in sorted(slacks.items()):
-        if dpi == 0 and dbar != 0:
-            raise ValueError(
-                f"additivity of the base at ({u},{v}) is not shared by the "
-                f"perturbation; containment of additivities fails")
-        if dbar > 0:
-            ratio = dpi / dbar
-            if best is None or ratio < best:
-                best = ratio
+    (k1, t1), (k2, t2) = base.faces.kinds(), bar.faces.kinds()
+    s1, s2 = [d[::2] for d in t1], [d[::2] for d in t2]
+    _, points, _, starts, verts = base.complex.faces.ids()
+    slacks = {}
+    for n, a, b in zip(range(len(k1)), k1, k2):
+        slacks.update(zip(verts[starts[n]:starts[n + 1]], zip(s1[a], s2[b])))
+    unshared = [p for p, (dpi, dbar) in slacks.items()
+                if dpi == 0 and dbar != 0]
+    if unshared:
+        u, v = min(points[p] for p in unshared)
+        raise ValueError(
+            f"additivity of the base at ({u},{v}) is not shared by the "
+            f"perturbation; containment of additivities fails")
+    best = min((dpi / dbar for dpi, dbar in slacks.values() if dbar > 0),
+               default=None)
     if best is None:
         raise ValueError("perturbation never strains subadditivity; "
                          "no finite scale is determined")

@@ -86,6 +86,34 @@ def random_pwl(rng: random.Random) -> PwlFunction:
     return PwlFunction(rows, f, name="two_slope_nudged")
 
 
+def fresh_copy(fn: PwlFunction) -> PwlFunction:
+    """The same function as a new object, with no analysis."""
+    return PwlFunction(fn.rows, fn.f, name=fn.name,
+                       special_intervals=fn.special_intervals)
+
+
+def gmic(f, k=1, f0=None) -> PwlFunction:
+    """The two-slope function of f0 composed with x -> kx; its f is f."""
+    f0 = f if f0 is None else f0
+    points = sorted(((i + c) / k, v)
+                    for i in range(k) for c, v in ((Fraction(0), 0), (f0, 1)))
+    return PwlFunction.continuous_from_values(points, f)
+
+
+def grid_pairs(seed: int, count: int):
+    """(pi0, pert, pi1) on random 1/N grids: pi1 = gmic(f), pi2 = gmic(f0)
+    composed with x -> kx, which has the same f, pi0 = (pi1 + pi2)/2 and
+    pert = (pi1 - pi2)/2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q0, k = rng.randrange(3, 10), rng.choice((2, 3))
+        f0 = Fraction(rng.randrange(1, q0), q0)
+        f = (f0 + rng.randrange(k)) / k
+        pi1, pi2 = gmic(f), gmic(f, k, f0)
+        yield (pi1 + pi2).scale(Fraction(1, 2)), \
+            (pi1 - pi2).scale(Fraction(1, 2)), pi1
+
+
 # the realizable one-sided approach profiles (x side, y side, sum side)
 DIRECTIONS = (
     (0, 0, 0),
@@ -356,3 +384,194 @@ def reference_faces(breakpoints) -> tuple:
                 if face is not None:
                     by_points.setdefault(face.vertices, face)
     return tuple(by_points.values())
+
+
+# -- the analysis's readers by value ------------------------------------------
+# The covering, E-containment and epsilon code as it read the analysis by
+# value, face by face and slack record by slack record: the reference of the
+# position readers in groupcut.
+
+
+def reference_format_qnum(x) -> str:
+    """The text form through the Fraction parts a and b."""
+    a, b = x.a, x.b
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*sqrt2"
+    if b > 0:
+        return f"{a} + {b}*sqrt2"
+    return f"{a} - {-b}*sqrt2"
+
+
+def _reference_reduce_span(a, b):
+    return (a - 1, b - 1) if a >= 1 else (a, b)
+
+
+def reference_directly_covered(report) -> list:
+    from groupcut.additivity import ADDITIVE
+    out, seen = [], set()
+    for fc in report.faces:
+        if fc.status != ADDITIVE or fc.face.dim != 2:
+            continue
+        for proj in (fc.face.p1, fc.face.p2, fc.face.p3):
+            span = _reference_reduce_span(proj.a, proj.b)
+            if span not in seen:
+                seen.add(span)
+                out.append(span)
+    return out
+
+
+def reference_edge_connections(report) -> list:
+    from groupcut.additivity import ADDITIVE
+    from groupcut.covering import Move
+    moves = []
+    for fc in report.faces:
+        if fc.status != ADDITIVE or fc.face.dim != 1:
+            continue
+        F = fc.face
+        singletons = [p.is_point for p in (F.p1, F.p2, F.p3)]
+        if not any(singletons):
+            raise ArithmeticError(f"{F.label()} is not an edge of a complex")
+        if singletons[2]:
+            moves.append(Move("reflection", F.p3.a, (F.p1.a, F.p1.b),
+                              (F.p2.a, F.p2.b), F))
+        elif singletons[0]:
+            moves.append(Move("translation", F.p1.a, (F.p2.a, F.p2.b),
+                              _reference_reduce_span(F.p3.a, F.p3.b), F))
+        else:
+            moves.append(Move("translation", F.p2.a, (F.p1.a, F.p1.b),
+                              _reference_reduce_span(F.p3.a, F.p3.b), F))
+    return moves
+
+
+def reference_covering(report):
+    """``covering.components`` on Face2D values: the same _PieceCover and
+    _UnionFind, with every span placed in its piece by bisection."""
+    import bisect
+    from groupcut.additivity import ADDITIVE
+    from groupcut.covering import (CoveredComponent, CoveringResult,
+                                   _PieceCover, _UnionFind)
+    piece_faces = report.complex.faces_x[1::2]
+    piece_spans = [(p.a, p.b) for p in piece_faces]
+    los = [p.a for p in piece_faces]
+
+    def piece_of(span) -> int:
+        a, b = span
+        i = bisect.bisect_right(los, a) - 1
+        if not (piece_spans[i][0] <= a and b <= piece_spans[i][1]):
+            raise ValueError(f"span ({a}, {b}) crosses a breakpoint")
+        return i
+
+    covers = [_PieceCover(lo, hi) for lo, hi in piece_spans]
+    for a, b in reference_directly_covered(report):
+        covers[piece_of((a, b))].add(a, b)
+    moves = reference_edge_connections(report)
+    arrows = []
+    for mv in moves:
+        i, j = piece_of(mv.src), piece_of(mv.dst)
+        arrows += ((i, mv.src, j, mv.dst), (j, mv.dst, i, mv.src))
+    changed = True
+    while changed:
+        changed = False
+        for i, src, j, dst in arrows:
+            if covers[i].contains(*src) and not covers[j].contains(*dst):
+                covers[j].add(*dst)
+                changed = True
+    full = [c.full for c in covers]
+    uf = _UnionFind(len(piece_spans))
+
+    def connect(i, j):
+        if full[i] and full[j]:
+            uf.union(i, j)
+
+    for fc in report.faces:
+        if fc.status != ADDITIVE or fc.face.dim != 2:
+            continue
+        ids = [piece_of(_reference_reduce_span(p.a, p.b))
+               for p in (fc.face.p1, fc.face.p2, fc.face.p3)]
+        connect(ids[0], ids[1])
+        connect(ids[0], ids[2])
+    for i, _, j, _ in arrows[::2]:
+        connect(i, j)
+    groups = {}
+    for i, ok in enumerate(full):
+        if ok:
+            groups.setdefault(uf.find(i), []).append(i)
+    comps = [CoveredComponent([piece_spans[i] for i in groups[root]])
+             for root in sorted(groups)]
+    uncov = [piece_spans[i] for i, ok in enumerate(full) if not ok]
+    return CoveringResult(comps, uncov, moves)
+
+
+def reference_e_containment(fn1, fn2):
+    """E(fn1) against E(fn2) by the triple_key of each additive face, each
+    function analysed alone on its own complex."""
+    from groupcut.additivity import (ADDITIVE, EContainmentResult,
+                                     additive_face_report)
+    a1, a2 = ({fc.face.triple_key: fc.face
+               for fc in additive_face_report(g).faces
+               if fc.status == ADDITIVE}
+              for g in (fn1.refine(fn2.breakpoints),
+                        fn2.refine(fn1.breakpoints)))
+    only1, only2 = a1.keys() - a2.keys(), a2.keys() - a1.keys()
+    relation = ("incomparable" if only1 and only2 else "strict_superset"
+                if only1 else "strict_subset" if only2 else "equal")
+    return EContainmentResult(relation, a1[min(only1)] if only1 else None,
+                              a2[min(only2)] if only2 else None)
+
+
+def reference_lipschitz_epsilon(fn, pert):
+    """``lipschitz_epsilon`` on slack records; f is not compared."""
+    from groupcut.additivity import additive_face_report, minimality_test
+    from groupcut.perturbation import EpsilonResult
+    if not isinstance(pert, PwlFunction):
+        raise TypeError("perturbation must be piecewise linear")
+    if not pert.is_continuous:
+        raise ValueError("perturbation has jumps; this bound needs a "
+                         "continuous perturbation")
+    if not minimality_test(fn):
+        raise ValueError("base function is not minimal")
+    records = [r for fc in additive_face_report(fn).faces for r in fc.slacks]
+    m = min((r.slack for r in records if r.slack > 0), default=None)
+    if m is None:
+        raise ValueError("base function has no positive vertex slack")
+    M = max(abs(pert.delta(u, v)) for u, v in {r.vertex for r in records})
+    if M == 0:
+        raise ValueError("perturbation is additive at every complex vertex; "
+                         "the bound degenerates")
+    C = max((abs(s) for s in pert.slopes), default=QNum(0))
+    if C == 0:
+        C = QNum(1)
+    return EpsilonResult(m=m, M=M, C=C, eps=min(m / M, m / (8 * C)))
+
+
+def reference_scaling_epsilon(fn, pert):
+    """``scaling_epsilon`` on slack records, vertices visited in sorted
+    order, each function analysed alone; f is not compared."""
+    from groupcut.additivity import additive_face_report
+    for g, what in ((fn, "base function"), (pert, "perturbation")):
+        if not isinstance(g, PwlFunction):
+            raise TypeError(f"{what} must be piecewise linear")
+        if not g.is_continuous:
+            raise ValueError(f"{what} has jumps; scaling needs continuity")
+    base, bar = (additive_face_report(g)
+                 for g in (fn.refine(pert.breakpoints),
+                           pert.refine(fn.breakpoints)))
+    slacks = {r1.vertex: (r1.slack, r2.slack)
+              for c1, c2 in zip(base.faces, bar.faces)
+              for r1, r2 in zip(c1.slacks, c2.slacks)}
+    best = None
+    for (u, v), (dpi, dbar) in sorted(slacks.items()):
+        if dpi == 0 and dbar != 0:
+            raise ValueError(
+                f"additivity of the base at ({u},{v}) is not shared by the "
+                f"perturbation; containment of additivities fails")
+        if dbar > 0:
+            ratio = dpi / dbar
+            if best is None or ratio < best:
+                best = ratio
+    if best is None:
+        raise ValueError("perturbation never strains subadditivity; "
+                         "no finite scale is determined")
+    return best

@@ -8,7 +8,8 @@ import importlib.util
 import inspect
 import os
 
-from groupcut import additivity, catalog, pwl
+from groupcut import additivity, catalog, covering, perturbation, pwl
+from helpers import grid_pairs
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench", "tracing.py")
@@ -47,3 +48,23 @@ def test_tracer_installs_on_the_analysis_and_restores_everything():
     assert tracer.counts["additivity.minimality.calls"] == 1
     assert tracer.counts["additivity.report.calls"] == 2
     assert tracer.counts["complex2d.build.calls"] == 1
+
+
+def test_tracer_counts_an_epsilon_pair():
+    """A random-grid epsilon pair, with the covering of its pi1."""
+    pi0, pert, pi1 = next(grid_pairs(7, 1))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        covering.components(additivity.additive_face_report(pi1))
+        assert additivity.e_containment(pi0, pi1).relation == \
+            "strict_subset"
+        lip = perturbation.lipschitz_epsilon(pi0, pert)
+        assert perturbation.verify_effective(pi0, pert, lip.eps)
+        assert perturbation.scaling_epsilon(pi0, pert) > 0
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["perturbation.epsilon.calls"] == 2
+    assert counts["covering.components.calls"] == 1
+    assert counts["complex2d.build.calls"] == 2

@@ -21,7 +21,7 @@ from groupcut.exactnum import QNum
 from groupcut.pwl import load, to_text
 from groupcut.catalog import (kzh_function, kzh_params, lifted_function,
                               psi_function)
-from helpers import midpoint_pair
+from helpers import gmic, midpoint_pair
 
 Q = lambda *a: QNum(Fraction(*a))
 
@@ -139,6 +139,18 @@ def test_epsilon_scaling(pair_files, capsys):
     mp, bp = pair_files
     assert main(["epsilon", "scaling", mp, bp]) == 0
     assert capsys.readouterr().out == "epsilon = 3\n"
+
+
+@pytest.mark.parametrize("form", [["lipschitz", "--check"], ["scaling"]])
+def test_epsilon_rejects_a_perturbation_with_another_f(form, tmp_path,
+                                                       capsys):
+    base, pert = tmp_path / "base.txt", tmp_path / "pert.txt"
+    base.write_text(to_text(gmic(Fraction(1, 2))))
+    pert.write_text(to_text(gmic(Fraction(1, 4))))
+    assert main(["epsilon", *form, str(base), str(pert)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: cannot combine functions with different f\n"
 
 
 def test_verify_text_and_json(capsys):

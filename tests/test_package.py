@@ -37,3 +37,25 @@ def test_public_names_are_pinned():
         "render_sidecar", "render_svg",
     ]
     assert all(hasattr(groupcut, name) for name in groupcut.__all__)
+
+
+# the private fields of the face store and of the classifications
+_STORE_FIELDS = {"_faces_x", "_faces_k", "_intervals", "_points", "_triples",
+                 "_proj", "_starts", "_verts", "_faces", "_kind",
+                 "_slack_sides", "_status"}
+
+
+def test_only_the_analysis_reads_its_private_fields():
+    """Other modules read the store through ``ids``, ``positions`` and
+    ``kinds``, so its layout can change in two files."""
+    src = Path(groupcut.__file__).parent
+    found = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in sorted(src.glob("*.py"))
+             if path.name not in ("complex2d.py", "additivity.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in _STORE_FIELDS]
+    assert found == []
+    # the guard sees a read where there is one
+    assert any(isinstance(node, ast.Attribute) and node.attr in _STORE_FIELDS
+               for node in ast.walk(ast.parse(
+                   (src / "additivity.py").read_text())))

@@ -7,7 +7,6 @@ function analysed alone, and every result must be the one that analysing
 each function on its own complex gives.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -20,36 +19,8 @@ from groupcut.complex2d import Complex2D
 from groupcut.diagram import classification_digest
 from groupcut.perturbation import (lipschitz_epsilon, scaling_epsilon,
                                    verify_effective)
-from groupcut.pwl import PwlFunction
 from groupcut.verify import verify_psi_separation
-
-
-def _copy(fn: PwlFunction) -> PwlFunction:
-    """The same function as a new object, with no analysis."""
-    return PwlFunction(fn.rows, fn.f, name=fn.name,
-                       special_intervals=fn.special_intervals)
-
-
-def _gmic(f, k=1, f0=None) -> PwlFunction:
-    """The two-slope function of f0 composed with x -> kx; its f is f."""
-    f0 = f if f0 is None else f0
-    points = sorted(((i + c) / k, v)
-                    for i in range(k) for c, v in ((Fraction(0), 0), (f0, 1)))
-    return PwlFunction.continuous_from_values(points, f)
-
-
-def _grid_pairs(seed: int, count: int):
-    """(pi0, pert, pi1) on random 1/N grids: pi1 = gmic(f), pi2 = gmic(f0)
-    composed with x -> kx, which has the same f, pi0 = (pi1 + pi2)/2 and
-    pert = (pi1 - pi2)/2."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        q0, k = rng.randrange(3, 10), rng.choice((2, 3))
-        f0 = Fraction(rng.randrange(1, q0), q0)
-        f = (f0 + rng.randrange(k)) / k
-        pi1, pi2 = _gmic(f), _gmic(f, k, f0)
-        yield (pi1 + pi2).scale(Fraction(1, 2)), \
-            (pi1 - pi2).scale(Fraction(1, 2)), pi1
+from helpers import fresh_copy, gmic, grid_pairs
 
 
 @pytest.fixture
@@ -100,11 +71,11 @@ def _assert_digests_as_alone(swept):
     for fn, cx in list(swept):
         assert fn._analysis.complex is cx
         assert classification_digest(fn._analysis) == \
-            classification_digest(additive_face_report(_copy(fn)))
+            classification_digest(additive_face_report(fresh_copy(fn)))
 
 
 def test_an_epsilon_chain_builds_one_complex(builds, swept, monkeypatch):
-    for pi0, pert, pi1 in _grid_pairs(20261019, 6):
+    for pi0, pert, pi1 in grid_pairs(20261019, 6):
         del builds[:], swept[:]
         shared = _chain(pi0, pert, pi1)
         assert len(builds) == 1
@@ -115,26 +86,26 @@ def test_an_epsilon_chain_builds_one_complex(builds, swept, monkeypatch):
         with monkeypatch.context() as m:
             _alone(m)
             del builds[:]
-            assert _chain(_copy(pi0), _copy(pert), _copy(pi1)) == shared
+            assert _chain(*map(fresh_copy, (pi0, pert, pi1))) == shared
             assert len(builds) == 5
 
 
 def test_psi_separation_on_one_complex(builds, swept, monkeypatch):
     psi, prime = psi_function(), psi_prime_function()
     del builds[:], swept[:]  # the catalog's own checks
-    shared = verify_psi_separation(_copy(psi), _copy(prime))
+    shared = verify_psi_separation(fresh_copy(psi), fresh_copy(prime))
     assert shared and len(builds) == 1
     assert len(swept) == 2 and swept[0][1] is swept[1][1]
     _assert_digests_as_alone(swept)
     with monkeypatch.context() as m:
         _alone(m)
-        alone = verify_psi_separation(_copy(psi), _copy(prime))
+        alone = verify_psi_separation(fresh_copy(psi), fresh_copy(prime))
     assert alone.as_dict() == shared.as_dict()
 
 
 def test_functions_analysed_in_separate_calls_build_separate_complexes(
         builds):
-    one, two = _gmic(Fraction(2, 3)), _gmic(Fraction(2, 3))
+    one, two = gmic(Fraction(2, 3)), gmic(Fraction(2, 3))
     assert one.breakpoints == two.breakpoints
     assert additive_face_report(one).complex is not \
         additive_face_report(two).complex
@@ -142,7 +113,7 @@ def test_functions_analysed_in_separate_calls_build_separate_complexes(
 
 
 def test_effective_check_builds_nothing_when_the_cheap_checks_fail(builds):
-    pi0, pert, _ = next(_grid_pairs(7, 1))
+    pi0, pert, _ = next(grid_pairs(7, 1))
     result = verify_effective(pi0, pert, 10)
     assert (result.plus.failure, result.minus.failure) == ("bounds",
                                                            "bounds")
@@ -152,4 +123,4 @@ def test_effective_check_builds_nothing_when_the_cheap_checks_fail(builds):
 
 def test_functions_analysed_together_need_one_breakpoint_set():
     with pytest.raises(ValueError, match="different breakpoints"):
-        additivity._analyses((_gmic(Fraction(1, 2)), _gmic(Fraction(2, 3))))
+        additivity._analyses((gmic(Fraction(1, 2)), gmic(Fraction(2, 3))))
