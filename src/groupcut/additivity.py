@@ -154,14 +154,6 @@ class _Classifications(Sequence):
         """Per face the index of its slack tuple, and the slack tuples."""
         return self._kind, self._slack_sides
 
-    def having(self, status: str):
-        """The classifications with this status, in face order; no other
-        face is built."""
-        data, kind = self._slack_sides, self._kind
-        wanted = self.positions(status)
-        return (_classified((face, data[kind[n]], status))
-                for n, face in zip(wanted, self._faces.at(wanted)))
-
     def first_negative(self) -> FaceClassification | None:
         """The first face with a negative vertex slack, or None; the shared
         slack tuples are searched first."""

@@ -125,6 +125,8 @@ def _cmd_perturbation_rank(args) -> int:
 
 
 def _cmd_epsilon(args) -> int:
+    if args.check and args.kind != "lipschitz":
+        raise _InputError("--check applies to epsilon lipschitz only")
     fn = _load_pwl(args.func)
     pert = _load_pwl(args.perturbation)
     if args.kind == "lipschitz":
@@ -240,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("func")
     p.add_argument("perturbation")
     p.add_argument("--check", action="store_true",
-                   help="also verify minimality at +/- epsilon")
+                   help="lipschitz only: verify minimality at +/- epsilon")
     p.set_defaults(run=_cmd_epsilon)
 
     p = sub.add_parser("verify", help="run a claim suite")

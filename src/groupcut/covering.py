@@ -109,16 +109,6 @@ def _additive(report: AdditivityReport):
     return direct, moves, links
 
 
-def directly_covered(report: AdditivityReport) -> list[Span]:
-    """Projection interiors of all additive two-dimensional faces."""
-    return list(_additive(report)[0])
-
-
-def edge_connections(report: AdditivityReport) -> list[Move]:
-    """Moves carried by additive one-dimensional faces."""
-    return [mv for mv, _, _ in _additive(report)[1]]
-
-
 class _PieceCover:
     """Union of open sub-intervals of one piece, merged on strict overlap."""
 
@@ -127,7 +117,7 @@ class _PieceCover:
         self.hi = hi
         self.parts: list[Span] = []
 
-    def add(self, a: QNum, b: QNum) -> bool:
+    def add(self, a: QNum, b: QNum):
         if not (self.lo <= a < b <= self.hi):
             raise ValueError(f"({a}, {b}) not within ({self.lo}, {self.hi})")
         merged_a, merged_b = a, b
@@ -139,11 +129,7 @@ class _PieceCover:
                 merged_b = max(merged_b, pb)
             else:
                 keep.append((pa, pb))
-        new = keep + [(merged_a, merged_b)]
-        new.sort()
-        changed = new != self.parts
-        self.parts = new
-        return changed
+        self.parts = sorted(keep + [(merged_a, merged_b)])
 
     def contains(self, a: QNum, b: QNum) -> bool:
         return any(pa <= a and b <= pb for pa, pb in self.parts)
@@ -163,12 +149,9 @@ class _UnionFind:
             i = self.parent[i]
         return i
 
-    def union(self, i: int, j: int) -> bool:
+    def union(self, i: int, j: int):
         ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
         self.parent[max(ri, rj)] = min(ri, rj)
-        return True
 
 
 def components(report: AdditivityReport) -> CoveringResult:

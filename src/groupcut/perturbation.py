@@ -120,7 +120,6 @@ def drop_one_ranks(system: LinearSystem) -> list[int]:
 class _Parametrization:
     def __init__(self, fn: PwlFunction, special_intervals, eliminate: bool):
         self.fn = fn
-        self.eliminate = eliminate
         self.bks = list(fn.breakpoints)
         self.n = len(self.bks)
         self._index = {x: i for i, x in enumerate(self.bks)}
@@ -151,28 +150,38 @@ class _Parametrization:
         self.mids = [(lo + hi) / 2
                      for lo, hi in map(fn.piece_bounds, range(self.n))]
 
-        self._mirror_bk = [self._breakpoint_index((fn.f - x).mod1())
-                           for x in self.bks]
-        self._mirror_piece = [self._piece_mirror(j) for j in range(self.n)]
+        mirror_piece = [self._piece_mirror(j) for j in range(self.n)]
         for j in self.special_pieces:
-            if self._mirror_piece[j] not in self.special_pieces:
+            if mirror_piece[j] not in self.special_pieces:
                 raise ValueError("special intervals are not symmetric")
+        # per kind, each variable's mirror through f, or None where symmetry
+        # forces the variable to zero: the values at 0 and f, and a value or
+        # midpoint that is its own mirror
+        mirror_bk = [self._breakpoint_index((fn.f - x).mod1())
+                     for x in self.bks]
+        self.mirror = {
+            VALUE_AT_BREAKPOINT: {
+                i: None if x == 0 or x == fn.f or k == i else k
+                for i, (x, k) in enumerate(zip(self.bks, mirror_bk))},
+            MIDPOINT_VALUE: {j: None if k == j else k
+                             for j, k in enumerate(mirror_piece)
+                             if j not in self.special_pieces},
+        }
 
-        self.v_sub = {i: self._value_sub(i) for i in range(self.n)}
-        self.m_sub = {j: self._mid_sub(j)
-                      for j in range(self.n) if j not in self.special_pieces}
-
+        # each variable in terms of the kept ones: substituted, a pair
+        # keeps its lower variable and a forced variable is dropped
         variables = [PerturbVar(SLOPE, f"s{k}") for k in range(len(comps))]
-        if eliminate:
-            kept_v = sorted({i for i in range(self.n)
-                             if self.v_sub[i].get(f"v{i}") == 1})
-            kept_m = sorted({j for j in self.m_sub
-                             if self.m_sub[j].get(f"m{j}") == 1})
-        else:
-            kept_v = list(range(self.n))
-            kept_m = sorted(self.m_sub)
-        variables += [PerturbVar(VALUE_AT_BREAKPOINT, i) for i in kept_v]
-        variables += [PerturbVar(MIDPOINT_VALUE, j) for j in kept_m]
+        self.sub = {}
+        for kind, mirror in self.mirror.items():
+            self.sub[kind] = sub = {}
+            for i, k in mirror.items():
+                if eliminate and k is None:
+                    sub[i] = {}
+                elif eliminate and k < i:
+                    sub[i] = {PerturbVar(kind, k).name: QNum(-1)}
+                else:
+                    variables.append(PerturbVar(kind, i))
+                    sub[i] = {variables[-1].name: QNum(1)}
         self.variables = tuple(variables)
 
     def _breakpoint_index(self, x: QNum) -> int:
@@ -190,52 +199,18 @@ class _Parametrization:
             raise ValueError(f"piece {j} has no mirror piece")
         return k
 
-    def _value_sub(self, i: int) -> dict[str, int]:
-        x = self.bks[i]
-        if not self.eliminate:
-            return {f"v{i}": 1}
-        if x == 0 or x == self.fn.f:
-            return {}
-        mi = self._mirror_bk[i]
-        if mi == i:
-            return {}  # pi-bar(x) = -pi-bar(x) forces zero
-        keep = min(i, mi)
-        return {f"v{keep}": 1 if i == keep else -1}
-
-    def _mid_sub(self, j: int) -> dict[str, int]:
-        if not self.eliminate:
-            return {f"m{j}": 1}
-        k = self._mirror_piece[j]
-        if k == j:
-            return {}
-        keep = min(j, k)
-        return {f"m{keep}": 1 if j == keep else -1}
-
     def symmetry_rows(self) -> list[tuple[str, dict[str, QNum]]]:
-        """Explicit symmetry equations, used when nothing was substituted."""
+        """Explicit symmetry equations, used when nothing was substituted:
+        a forced variable is zero, and a mirror pair sums to zero."""
         one = QNum(1)
         rows = []
-        seen = set()
-        for i, x in enumerate(self.bks):
-            if x == 0 or x == self.fn.f:
-                rows.append((f"symmetry v{i}", {f"v{i}": one}))
-            else:
-                mi = self._mirror_bk[i]
-                if mi == i:
-                    rows.append((f"symmetry v{i}", {f"v{i}": one}))
-                elif (min(i, mi), max(i, mi)) not in seen:
-                    seen.add((min(i, mi), max(i, mi)))
-                    rows.append((f"symmetry v{i}+v{mi}",
-                                 {f"v{i}": one, f"v{mi}": one}))
-        seen = set()
-        for j in self.m_sub:
-            k = self._mirror_piece[j]
-            if k == j:
-                rows.append((f"symmetry m{j}", {f"m{j}": one}))
-            elif (min(j, k), max(j, k)) not in seen:
-                seen.add((min(j, k), max(j, k)))
-                rows.append((f"symmetry m{j}+m{k}",
-                             {f"m{j}": one, f"m{k}": one}))
+        for kind, mirror in self.mirror.items():
+            for i, k in mirror.items():
+                if k is None or i < k:
+                    names = [PerturbVar(kind, j).name for j in (i, k)
+                             if j is not None]
+                    rows.append(("symmetry " + "+".join(names),
+                                 dict.fromkeys(names, one)))
         return rows
 
     def expansion(self, t, side: int) -> dict[str, QNum]:
@@ -244,7 +219,7 @@ class _Parametrization:
         kind, idx = self.fn.locate(red)
         if kind == "breakpoint":
             if side == AT:
-                return {k: QNum(c) for k, c in self.v_sub[idx].items()}
+                return self.sub[VALUE_AT_BREAKPOINT][idx]
             if side == PLUS:
                 j, tau = idx, red
             elif idx > 0:
@@ -257,7 +232,7 @@ class _Parametrization:
             raise ValueError(
                 f"equation would touch special piece {j}; the parametrization "
                 f"does not model the special intervals")
-        out = {k: QNum(c) for k, c in self.m_sub[j].items()}
+        out = dict(self.sub[MIDPOINT_VALUE][j])
         name = self.slope_name[j]
         out[name] = out.get(name, QNum(0)) + (tau - self.mids[j])
         return out

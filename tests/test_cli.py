@@ -141,6 +141,14 @@ def test_epsilon_scaling(pair_files, capsys):
     assert capsys.readouterr().out == "epsilon = 3\n"
 
 
+def test_epsilon_scaling_rejects_check(pair_files, capsys):
+    mp, bp = pair_files
+    assert main(["epsilon", "scaling", mp, bp, "--check"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --check applies to epsilon lipschitz only\n"
+
+
 @pytest.mark.parametrize("form", [["lipschitz", "--check"], ["scaling"]])
 def test_epsilon_rejects_a_perturbation_with_another_f(form, tmp_path,
                                                        capsys):

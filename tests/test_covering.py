@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from groupcut.exactnum import QNum
 from groupcut.pwl import PwlFunction
-from groupcut.additivity import additive_face_report
-from groupcut.covering import components, directly_covered, edge_connections
+from groupcut.additivity import ADDITIVE, additive_face_report
+from groupcut.covering import components
 from groupcut.catalog import kzh_function, psi_function
 
 Q = lambda *a: QNum(Fraction(*a))
@@ -28,13 +28,18 @@ def test_directly_covered_comes_from_two_dim_faces():
     fn = PwlFunction.continuous_from_values([(0, 0), (Fraction(1, 2), 1)],
                                             Fraction(1, 2))
     rep = additive_face_report(fn)
-    direct = directly_covered(rep)
+    additive = rep.complex.faces.at(rep.faces.positions(ADDITIVE))
+    direct = {(p.a, p.b) for F in additive if F.dim == 2 for p in (F.p1, F.p2)}
     assert _spans([(0, Fraction(1, 2))])[0] in direct
+    # each of them lies in a piece that the covering marks covered
+    covered = [iv for c in components(rep).components for iv in c.intervals]
+    assert all(any(lo <= a and b <= hi for lo, hi in covered)
+               for a, b in direct)
 
 
 def test_moves_record_translation_and_reflection():
     rep = additive_face_report(psi_function())
-    moves = edge_connections(rep)
+    moves = components(rep).moves
     kinds = {m.kind for m in moves}
     assert kinds <= {"translation", "reflection"}
     assert len(moves) > 0

@@ -59,3 +59,21 @@ def test_only_the_analysis_reads_its_private_fields():
     assert any(isinstance(node, ast.Attribute) and node.attr in _STORE_FIELDS
                for node in ast.walk(ast.parse(
                    (src / "additivity.py").read_text())))
+
+
+def test_every_private_helper_has_a_reader():
+    """Each ``_``-prefixed function, method or class of the package is
+    named somewhere in the package besides its own definition."""
+    src = Path(groupcut.__file__).parent
+    nodes = [node for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))]
+    private = {node.name for node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_")
+               and not (node.name.startswith("__")
+                        and node.name.endswith("__"))}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in nodes if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "_sweep" in private and "_PieceCover" in private
+    assert sorted(private - named) == []

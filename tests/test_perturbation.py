@@ -1,5 +1,6 @@
 """Exact linear systems and the two step-size constants."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from groupcut.perturbation import (
     SLOPE, EpsilonResult, LinearSystem, PerturbVar, build_system,
     drop_one_ranks, lipschitz_epsilon, scaling_epsilon, verify_effective,
 )
-from groupcut.catalog import lifted_function
+from groupcut.catalog import kzh_function, lifted_function
+from groupcut.verify import kzh_selected_faces
 
 from helpers import (
     midpoint_pair, random_gap_instance, gap_instance_holds,
@@ -160,11 +162,97 @@ def test_build_system_with_three_covering_components():
     assert minimality_test(fn)
     rep = additive_face_report(fn)
     assert len(covering_components(rep).components) == 3
-    selected = [(c.face, v) for c in rep.faces.having(ADDITIVE)
-                for v in c.face.vertices]
+    selected = [(face, v) for face in rep.complex.faces.at(
+                    rep.faces.positions(ADDITIVE)) for v in face.vertices]
     sy = build_system(fn, (), selected)
     assert sy.var_names[:3] == ["s0", "s1", "s2"]
     assert sy.n_vars == sy.rank == 7
+
+
+def _system_text(sy) -> str:
+    """The variables, then per row in order its label and coefficients."""
+    return "\n".join([" ".join(sy.var_names)] + [
+        f"{label}: " + " ".join(f"{n}={c}" for n, c in sorted(coeffs.items()))
+        for label, coeffs in sy.rows])
+
+
+def _pinned_grid_function(name):
+    f = Fraction(2, 5)
+    if name == "self_mirror":  # f/2 and (1 + f)/2 are their own mirrors
+        return PwlFunction.continuous_from_values(
+            [(0, 0), (f / 2, H), (f, 1), ((1 + f) / 2, H)], f), ()
+    if name == "three_slope":
+        return _gj_forward_3_slope(), ()
+    return PwlFunction.continuous_from_values(
+        [(0, 0), (Fraction(1, 4), 1), (H, 0), (Fraction(3, 4), 1)],
+        Fraction(1, 4)), ((Fraction(1, 4), H), (Fraction(3, 4), 1))
+
+
+def _every_modelled_vertex(fn, specials):
+    """Each vertex of each additive face whose equation avoids the special
+    pieces, in face order."""
+    rep = additive_face_report(fn)
+    out = []
+    for n in rep.faces.positions(ADDITIVE):
+        face = rep.faces[n].face
+        for v in face.vertices:
+            try:
+                build_system(fn, specials, [(face, v)])
+            except ValueError:
+                continue
+            out.append((face, v))
+    return out
+
+
+# variables, row count and sha256 of _system_text, with and without the
+# symmetry substituted away
+_PINNED_SYSTEMS = {
+    ("self_mirror", True): (
+        "s0 s1 m0 m2", 94,
+        "bc0fba94db2c837cfbbd92c3541e30e18bdd9099586ab5311913b499df642999"),
+    ("self_mirror", False): (
+        "s0 s1 v0 v1 v2 v3 m0 m1 m2 m3", 100,
+        "433a5909d6685c5c8a501ddc79c802bd4489c7c6725ad6f661d83ff86ceafb6d"),
+    ("three_slope", True): (
+        "s0 s1 s2 v1 v2 m0 m1", 166,
+        "b3a5eb4f094439789778b6ad726f98a1d35d41e3e8b2107e29c4d178090aff6e"),
+    ("three_slope", False): (
+        "s0 s1 s2 v0 v1 v2 v3 v4 v5 m0 m1 m2 m3 m4 m5", 174,
+        "d4503a61a064e51076706bfb847c2672f1959e9f6404f503f05cd721344465b8"),
+    ("special", True): (
+        "s0 s1 v2", 65,
+        "f0077ba3899955f6822088390e70fbafa25705a38b4f9c06113fe63391882481"),
+    ("special", False): (
+        "s0 s1 v0 v1 v2 v3 m0 m2", 70,
+        "95d562487115dcc0ad5050fe248a6d47ec3158a3df20fd193ca51c441ddbcd54"),
+    ("kzh", True): (
+        " ".join(["s0", "s1"] + [f"v{i}" for i in [*range(1, 19), 38]]
+                 + [f"m{j}" for j in [*range(17), 37]]), 39,
+        "8f526a5d8cf738658d5c1dc16713df526d24c84f35e9a70977782eba2cee77f3"),
+    ("kzh", False): (
+        " ".join(["s0", "s1"] + [f"v{i}" for i in range(40)]
+                 + [f"m{j}" for j in range(40) if j not in (17, 19)]), 80,
+        "be78bcb916592af61877e6e1e865f7870b37625b8388fecd4e125313d16bb64d"),
+}
+
+
+@pytest.mark.parametrize("name", ["self_mirror", "three_slope", "special",
+                                  "kzh"])
+@pytest.mark.parametrize("eliminate", [True, False],
+                         ids=["substituted", "explicit"])
+def test_systems_are_pinned(name, eliminate):
+    if name == "kzh":
+        fn = kzh_function()
+        specials, selected = fn.special_intervals, kzh_selected_faces(fn)
+    else:
+        fn, specials = _pinned_grid_function(name)
+        selected = _every_modelled_vertex(fn, specials)
+    sy = build_system(fn, specials, selected, eliminate_symmetry=eliminate)
+    names, n_rows, digest = _PINNED_SYSTEMS[name, eliminate]
+    assert " ".join(sy.var_names) == names
+    assert sy.n_rows == n_rows
+    text = _system_text(sy)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_build_system_rejects_a_point_that_is_not_a_vertex():
