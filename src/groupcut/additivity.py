@@ -183,10 +183,7 @@ class AdditivityReport:
         return bytes(n_f(face, specials) for face in self.complex.faces)
 
     def classification_of(self, face: Face2D) -> FaceClassification:
-        n = self.complex.index(face)
-        if n is None:
-            raise ValueError(f"{face.label()} is not a face of the complex")
-        return self.faces[n]
+        return self.faces[self.complex._find(face.I, face.J, face.K)]
 
 
 def classify_face(fn: PwlFunction, face: Face2D) -> FaceClassification:
@@ -227,7 +224,7 @@ def _sweep(fn: PwlFunction, cx: Complex2D) -> _Classifications:
     for key in keys:
         t, r = cx.coordinate(key)
         if r is None:
-            v = fn.uncached_limit(t.mod1(), AT)
+            v = fn.limit(t, AT)
             triple = (v, v, v)
         else:
             triple = (rows[r].left, rows[r].value, rows[r].right)

@@ -155,25 +155,12 @@ def make_face(I: Interval, J: Interval, K: Interval) -> Face2D | None:
                   Interval(min(ys), max(ys)), Interval(min(ss), max(ss)))
 
 
-def _cell(points, cells, t) -> Interval:
-    """The 1-D face over ``points`` whose relative interior holds t."""
+def _cell_at(points, t) -> int:
+    """Position of the 1-D face over ``points`` whose relint holds t."""
     if not (points[0] <= t <= points[-1]):
         raise ValueError(f"{t} outside [{points[0]},{points[-1]}]")
     i = bisect.bisect_left(points, t)
-    return cells[2 * i if points[i] == t else 2 * i - 1]
-
-
-def _cells_over(points, proj: Interval) -> range:
-    """Positions of the 1-D faces over ``points`` that contain ``proj``."""
-    a, b = proj.a, proj.b
-    i = bisect.bisect_right(points, a) - 1  # points[i] <= a < points[i + 1]
-    if i < 0 or b > points[-1]:
-        return range(0)
-    if a == b == points[i]:
-        return range(max(2 * i - 1, 0), min(2 * i + 2, 2 * len(points) - 1))
-    if b <= points[i + 1]:
-        return range(2 * i + 1, 2 * i + 2)
-    return range(0)
+    return 2 * i if points[i] == t else 2 * i - 1
 
 
 def _one_dim_faces(points: list[QNum]) -> tuple[Interval, ...]:
@@ -212,42 +199,9 @@ def _enumerate(cx: Complex2D):
             rank[i * n + j] = rank[j * n + i] = (2 * k + 1 if G[k] == s
                                                  else 2 * k)
     W = n + m * n
-    n_k = len(faces_k)
     found: dict[tuple[int, ...], tuple[int, int, int]] = {}
-    for fi in range(2 * n - 1):
-        ia, ib = fi >> 1, (fi + 1) >> 1
-        xs = (ia, ib) if ia != ib else (ia,)
-        for fj in range(2 * n - 1):
-            ja, jb = fj >> 1, (fj + 1) >> 1
-            ys = (ja, jb) if ja != jb else (ja,)
-            lo, hi = rank[ia * n + ja], rank[ib * n + jb]
-            # the K with K.b >= P[ia] + P[ja] and K.a <= P[ib] + P[jb]
-            for fk in range(max(0, (lo >> 1) * 2 - 1),
-                            min(n_k, hi + (hi & 1))):
-                ka, kb = fk >> 1, (fk + 1) >> 1
-                ta, tb = 2 * ka + 1, 2 * kb + 1
-                verts = set()
-                for i in xs:
-                    for j in ys:
-                        if ta <= rank[i * n + j] <= tb:
-                            verts.add(i * W + j)
-                for t, k in ((ta, ka), (tb, kb)) if ka != kb else ((ta, ka),):
-                    for i in xs:  # x = P[i], y = G[k] - P[i] in J
-                        ra, rb = rank[i * n + ja], rank[i * n + jb]
-                        if ra <= t <= rb:
-                            verts.add(i * W + (ja if ra == t else jb if rb == t
-                                               else n + k * n + i))
-                    for j in ys:  # y = P[j], x = G[k] - P[j] in I
-                        ra, rb = rank[ia * n + j], rank[ib * n + j]
-                        if ra <= t <= rb:
-                            verts.add((ia if ra == t else ib if rb == t
-                                       else n + k * n + j) * W + j)
-                if verts:
-                    key = tuple(sorted(verts))
-                    if key not in found:
-                        # triples come in increasing triple_key order, so
-                        # the first triple of a point set represents it
-                        found[key] = (fi, fj, fk)
+    for fi in range(2 * n - 1):  # in increasing (fi, fj, fk) order
+        _add_faces(found, rank, n, W, fi, range(2 * n - 1), range(2 * m - 1))
 
     same = {g: g for g in G}.setdefault  # one object per distinct value
     values: dict[int, QNum] = {}
@@ -298,6 +252,44 @@ def _enumerate(cx: Complex2D):
     store = _FaceStore(faces_x, faces_k, intervals, list(point_at.values()),
                        triples, proj, starts, verts)
     return store, rank, array("q", point_at)
+
+
+def _add_faces(found, rank, n, W, fi, fjs, fks) -> None:
+    """Set ``found[keys] = (fi, fj, fk)`` for each nonempty F(I, J, K), I
+    the cell fi over P, J a cell fj in fjs over P and K a cell fk in fks
+    over G, with keys its sorted vertex keys (``_enumerate``), unless
+    ``found`` has them: the first triple tried represents a point set."""
+    ia, ib = fi >> 1, (fi + 1) >> 1
+    xs = (ia, ib) if ia != ib else (ia,)
+    for fj in fjs:
+        ja, jb = fj >> 1, (fj + 1) >> 1
+        ys = (ja, jb) if ja != jb else (ja,)
+        lo, hi = rank[ia * n + ja], rank[ib * n + jb]
+        # the K with K.b >= P[ia] + P[ja] and K.a <= P[ib] + P[jb]
+        for fk in range(max(fks.start, (lo >> 1) * 2 - 1),
+                        min(fks.stop, hi + (hi & 1))):
+            ka, kb = fk >> 1, (fk + 1) >> 1
+            ta, tb = 2 * ka + 1, 2 * kb + 1
+            verts = set()
+            for i in xs:
+                for j in ys:
+                    if ta <= rank[i * n + j] <= tb:
+                        verts.add(i * W + j)
+            for t, k in ((ta, ka), (tb, kb)) if ka != kb else ((ta, ka),):
+                for i in xs:  # x = P[i], y = G[k] - P[i] in J
+                    ra, rb = rank[i * n + ja], rank[i * n + jb]
+                    if ra <= t <= rb:
+                        verts.add(i * W + (ja if ra == t else jb if rb == t
+                                           else n + k * n + i))
+                for j in ys:  # y = P[j], x = G[k] - P[j] in I
+                    ra, rb = rank[ia * n + j], rank[ib * n + j]
+                    if ra <= t <= rb:
+                        verts.add((ia if ra == t else ib if rb == t
+                                   else n + k * n + j) * W + j)
+            if verts:
+                key = tuple(sorted(verts))
+                if key not in found:
+                    found[key] = (fi, fj, fk)
 
 
 def _end_keys(rank, n, m, triples, nx, nk):
@@ -384,7 +376,7 @@ class _FaceStore(Sequence):
 
 class Complex2D:
     """All faces F(I, J, K) over one period, deduplicated by point set;
-    ``faces`` builds each face when it is read."""
+    ``faces``, a sequence of Face2D, builds each face when it is read."""
 
     def __init__(self, breakpoints):
         bk = [QNum.of(b) for b in breakpoints]
@@ -400,7 +392,6 @@ class Complex2D:
         points_k = list(self.points_x) + [p + 1 for p in bk[1:]] + [QNum(2)]
         self.points_k: tuple[QNum, ...] = tuple(points_k)
         self.faces_k = _one_dim_faces(points_k)
-        self.faces: Sequence[Face2D]
         self.faces, self._rank, self._vertex_keys = _enumerate(self)
 
     def keys(self):
@@ -446,41 +437,51 @@ class Complex2D:
 
     # -- lookup -------------------------------------------------------------
 
-    def index(self, face: Face2D) -> int | None:
-        """Position in ``faces`` of the face with face's point set, or None.
+    def _position(self, fi: int, fj: int, fk: int) -> int:
+        """Position in ``faces`` of the face with the points of F(I, J, K)
+        for cells fi, fj, fk.  A stored triple represents its own points.
+        Any other shares its vertex keys with the first triple tried within
+        two cells of it per coordinate, as both hold the set's projections."""
+        if (n := self.faces.position(fi, fj, fk)) is not None:
+            return n
+        nx, nk, size = len(self.faces_x), len(self.faces_k), len(self.points_x)
+        args = (self._rank, size, size + len(self.points_k) * size)
+        mine, near = {}, {}
+        _add_faces(mine, *args, fi, range(fj, fj + 1), range(fk, fk + 1))
+        if not mine:
+            raise ValueError(f"F({self.faces_x[fi]}, {self.faces_x[fj]}, "
+                             f"{self.faces_k[fk]}) is empty")
+        for i in range(max(fi - 2, 0), min(fi + 3, nx)):
+            _add_faces(near, *args, i, range(max(fj - 2, 0), min(fj + 3, nx)),
+                       range(max(fk - 2, 0), min(fk + 3, nk)))
+        n = self.faces.position(*near[next(iter(mine))])
+        if n is None:
+            raise ArithmeticError(f"cells {fi, fj, fk} have no stored face")
+        return n
 
-        The triple that represents a point set has each projection of the
-        set inside its I, J and K, so only those few triples are looked up.
-        """
-        for fi in _cells_over(self.points_x, face.p1):
-            for fj in _cells_over(self.points_x, face.p2):
-                for fk in _cells_over(self.points_k, face.p3):
-                    n = self.faces.position(fi, fj, fk)
-                    if n is not None and \
-                            self.faces[n].vertices == face.vertices:
-                        return n
-        return None
+    def _find(self, I: Interval, J: Interval, K: Interval) -> int:
+        """Position in ``faces`` of F(I, J, K) for 1-D faces I, J over
+        [0, 1] and K over [0, 2] of this complex."""
+        at = []
+        for points, cells, iv in ((self.points_x, self.faces_x, I),
+                                  (self.points_x, self.faces_x, J),
+                                  (self.points_k, self.faces_k, K)):
+            c = _cell_at(points, iv.a) + (not iv.is_point)
+            if c >= len(cells) or cells[c] != iv:
+                raise ValueError(f"F({I}, {J}, {K}) is not a face of the "
+                                 f"complex")
+            at.append(c)
+        return self._position(*at)
 
     def face_of_point(self, x, y) -> Face2D:
         """The unique face whose relative interior contains (x, y)."""
-        x = QNum.of(x)
-        y = QNum.of(y)
-        face = make_face(_cell(self.points_x, self.faces_x, x),
-                         _cell(self.points_x, self.faces_x, y),
-                         _cell(self.points_k, self.faces_k, x + y))
-        n = None if face is None else self.index(face)
-        if n is None:
-            raise ArithmeticError(f"no face of the complex holds ({x}, {y})")
-        return self.faces[n]
+        x, y = QNum.of(x), QNum.of(y)
+        return self.faces[self._position(_cell_at(self.points_x, x),
+                                         _cell_at(self.points_x, y),
+                                         _cell_at(self.points_k, x + y))]
 
     def find_face(self, I: Interval, J: Interval, K: Interval) -> Face2D:
-        face = make_face(I, J, K)
-        if face is None:
-            raise ValueError(f"F({I}, {J}, {K}) is empty")
-        n = self.index(face)
-        if n is None:
-            raise ValueError(f"F({I}, {J}, {K}) is not a face of this complex")
-        return self.faces[n]
+        return self.faces[self._find(I, J, K)]
 
 
 def n_f(face: Face2D, specials) -> int:

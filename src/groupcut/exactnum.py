@@ -57,6 +57,8 @@ class QNum:
             x = parse_qnum(a) if isinstance(a, str) else a
             self._p, self._q, self._d = x._p, x._q, x._d
             return
+        if isinstance(a, float) or isinstance(b, float):
+            raise TypeError(f"QNum takes no float: {a!r}, {b!r}")
         a, b = Fraction(a), Fraction(b)
         d = lcm(a.denominator, b.denominator)  # no prime divides p, q and d
         self._p, self._q, self._d = (a.numerator * (d // a.denominator),

@@ -22,7 +22,6 @@ AT = 0
 PLUS = 1
 
 SIDE_NAMES = {"minus": MINUS, "at": AT, "plus": PLUS}
-LIMIT_CACHE_SIZE = 8192  # then the memo is emptied; verify_lifted fills 3,241
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,6 @@ class PwlFunction:
         self.f = f
         self.name = name
         self.special_intervals = si
-        self._limit_cache: dict[tuple[QNum, int], QNum] = {}
         self._analysis = None  # only additive_face_report touches it
 
     # -- construction helpers ----------------------------------------------
@@ -124,26 +122,11 @@ class PwlFunction:
     def limit(self, x: QNumLike, side: int = AT) -> QNum:
         """Value (side=0) or one-sided limit (side=-1/+1) at x, mod 1."""
         x = QNum.of(x).mod1()
-        key = (x, side)
-        got = self._limit_cache.get(key)
-        if got is None:
-            if len(self._limit_cache) >= LIMIT_CACHE_SIZE:
-                self._limit_cache.clear()
-            got = self._limit_cache[key] = self.uncached_limit(x, side)
-        return got
-
-    def uncached_limit(self, x: QNum, side: int) -> QNum:
-        """``limit`` at x in [0, 1), computed without the cache."""
-        kind, i = self.locate(x)
-        if kind == "piece":
-            # interior of an open piece: all three sides agree
-            r = self.rows[i]
+        i = bisect.bisect_right(self.breakpoints, x) - 1
+        r = self.rows[i]
+        if r.x != x:  # interior of an open piece: all three sides agree
             return r.right + self.slopes[i] * (x - r.x)
-        if side == AT:
-            return self.rows[i].value
-        if side == PLUS:
-            return self.rows[i].right
-        return self.rows[i].left
+        return r.value if side == AT else r.right if side == PLUS else r.left
 
     def eval(self, x: QNumLike) -> QNum:
         return self.limit(x, AT)

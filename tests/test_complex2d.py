@@ -1,5 +1,6 @@
 """The two-dimensional additivity complex over the unit square."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from groupcut.pwl import PwlFunction
 from groupcut.complex2d import (Complex2D, Face2D, Interval, ccw_hull_order,
                                 centroid, make_face, n_f, polygon_vertices)
 
-from helpers import reference_faces
+from helpers import gmic, reference_faces
 
 H = Fraction(1, 2)
 
@@ -96,6 +97,40 @@ def test_faces_partition_vertices_consistently():
         cu, cv = centroid(face.vertices)
         again = cx.face_of_point(cu, cv)
         assert again.triple_key == face.triple_key
+
+
+def _lookup_grids():
+    """Seeded random 1/q grids, and the sqrt2 two-slope family for k = 1,
+    2, 3: breakpoint sets whose complexes have unstored cell triples."""
+    rng = random.Random(20261019)
+    for q in (3, 4, 5, 6, 7, 8):
+        ks = sorted(rng.sample(range(1, q), rng.randint(1, q - 1)))
+        yield [Fraction(0)] + [Fraction(k, q) for k in ks]
+    f0 = QNum(-1, 1)
+    for k in (1, 2, 3):
+        yield gmic(f0 / k, k, f0).breakpoints
+
+
+def test_lookup_by_vertex_keys_matches_the_polygons_of_every_cell_triple():
+    unstored = 0
+    for breakpoints in _lookup_grids():
+        cx = Complex2D(breakpoints)
+        stored = {face.triple_key: face for face in cx.faces}
+        for I in cx.faces_x:
+            for J in cx.faces_x:
+                for K in cx.faces_k:
+                    ref = make_face(I, J, K)
+                    if ref is None:
+                        with pytest.raises(ValueError, match="empty"):
+                            cx.find_face(I, J, K)
+                        continue
+                    face = cx.find_face(I, J, K)
+                    assert stored.get(face.triple_key) == face
+                    assert face.vertices == ref.vertices
+                    unstored += ref.triple_key not in stored
+        for face in cx.faces:
+            assert cx.face_of_point(*centroid(face.vertices)) == face
+    assert unstored > 0
 
 
 def test_determinism():

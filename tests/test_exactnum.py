@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupcut.complex2d import Interval
 from groupcut.exactnum import QNum, parse_qnum, format_qnum
+from groupcut.pwl import BreakpointRow, PwlFunction
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -159,6 +161,26 @@ def test_mixed_mode_arithmetic():
     assert 2 / QNum(0, 1) == QNum(0, 1)
     with pytest.raises(ZeroDivisionError):
         x / QNum(0)
+
+
+def test_a_float_is_refused_where_a_number_is_built():
+    # QNum(0.1) would be the binary fraction 3602879701896397/2**55, not 1/10
+    for args in ((0.1,), (float("inf"),), (1, 0.5), (0.5, 0)):
+        with pytest.raises(TypeError, match="float"):
+            QNum(*args)
+    with pytest.raises(TypeError):
+        QNum.of(0.25)
+    with pytest.raises(TypeError):
+        Interval(0, 0.5)
+    with pytest.raises(TypeError):
+        BreakpointRow.of(0, 0, 0.0, 0)
+    with pytest.raises(TypeError):
+        PwlFunction.continuous_from_values([(0, 0), (Fraction(1, 2), 1)], 0.5)
+    with pytest.raises(TypeError):
+        QNum(1) + 0.5
+    with pytest.raises(TypeError):
+        QNum(1) < 0.5
+    assert QNum("1/10") == QNum(Fraction(1, 10)) == QNum.of(Decimal("0.1"))
 
 
 def test_sign():

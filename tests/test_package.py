@@ -77,3 +77,33 @@ def test_every_private_helper_has_a_reader():
              for node in nodes if isinstance(node, (ast.Name, ast.Attribute))}
     assert "_sweep" in private and "_PieceCover" in private
     assert sorted(private - named) == []
+
+
+def _by_value_face_calls(tree) -> list[int]:
+    """Lines that call make_face or polygon_vertices, outside the bodies
+    of those two definitions."""
+    names = {"make_face", "polygon_vertices"}
+    stack, found = [tree], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            continue
+        if isinstance(node, ast.Call) and names & {
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)}:
+            found.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_the_package_finds_faces_by_vertex_keys_only():
+    """``make_face`` and ``polygon_vertices`` build a face by value; they
+    stay as the tests' reference, and no module of the package calls
+    them."""
+    src = Path(groupcut.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+             for line in _by_value_face_calls(ast.parse(path.read_text()))]
+    assert found == []
+    # the guard sees a call where there is one
+    assert _by_value_face_calls(ast.parse(
+        "def f(I, J, K):\n    return complex2d.make_face(I, J, K)\n")) == [2]

@@ -7,8 +7,8 @@ import pytest
 
 from groupcut.catalog import psi_function
 from groupcut.exactnum import QNum
-from groupcut.pwl import (AT, LIMIT_CACHE_SIZE, MINUS, PLUS, BreakpointRow,
-                          PwlFunction, load, parse_text, save, to_text)
+from groupcut.pwl import (AT, MINUS, PLUS, BreakpointRow, PwlFunction, load,
+                          parse_text, save, to_text)
 
 H = Fraction(1, 2)
 
@@ -98,22 +98,6 @@ def test_limits_interpolate_between_breakpoints():
     assert fn.eval(x) == expect
     assert fn.limit(x, MINUS) == expect
     assert fn.limit(x, PLUS) == expect
-
-
-def test_limit_memo_is_bounded_and_keeps_the_values():
-    fn = step()
-    points = [QNum(Fraction(k, LIMIT_CACHE_SIZE + 500))
-              for k in range(LIMIT_CACHE_SIZE + 500)]
-    sides = (MINUS, AT, PLUS)
-    first, most = [], 0
-    for i, x in enumerate(points):
-        first.append(fn.limit(x, sides[i % 3]))
-        most = max(most, len(fn._limit_cache))
-    assert most == LIMIT_CACHE_SIZE
-    assert len(fn._limit_cache) < LIMIT_CACHE_SIZE
-    again = [fn.limit(x, sides[i % 3]) for i, x in enumerate(points)]
-    exact = [fn.uncached_limit(x, sides[i % 3]) for i, x in enumerate(points)]
-    assert first == again == exact
 
 
 def test_delta():
