@@ -38,6 +38,9 @@ def _load(spec: str):
         raise _InputError(f"unknown function {spec!r}: not a catalog name "
                           f"({', '.join(catalog.catalog_names())}) and no "
                           f"such file")
+    except OSError as e:
+        raise _InputError(f"cannot read function file {spec!r}: "
+                          f"{e.strerror or e}")
     except ValueError as e:
         raise _InputError(f"cannot parse function file {spec!r}: {e}")
 
@@ -60,9 +63,12 @@ def _parse_x(text: str):
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
+    except OSError as e:
+        raise _InputError(f"cannot write {out!r}: {e.strerror or e}")
 
 
 def _cmd_eval(args) -> int:

@@ -14,7 +14,7 @@ from functools import wraps
 
 from .exactnum import QNum
 from .pwl import PwlFunction, BreakpointRow
-from .complex2d import Interval, centroid, n_f
+from .complex2d import Interval, centroid
 from .additivity import (ADDITIVE, _analyses, _minimality,
                          additive_face_report, e_containment, slack_at)
 from .covering import components as covering_components
@@ -320,7 +320,7 @@ def verify_kzh_perturbation_rank(stats, fn: PwlFunction | None = None):
 
 
 def _lifted_face_classes(fn: PwlFunction):
-    """The additive faces meeting the special intervals, by construction."""
+    """Positions of the additive faces meeting the specials, by design."""
     p = catalog.kzh_params()
     cx = additive_face_report(fn).complex
     lo = Interval(p.l, p.u)
@@ -329,20 +329,20 @@ def _lifted_face_classes(fn: PwlFunction):
     faces = []
     for a in (p.a0, p.a1, p.a2):
         pt = Interval(a, a)
-        faces.append(("1", cx.find_face(lo, pt, hi)))
-        faces.append(("1m", cx.find_face(pt, lo, hi)))
+        faces.append(("1", cx._find(lo, pt, hi)))
+        faces.append(("1m", cx._find(pt, lo, hi)))
         fa = Interval(p.f - a, p.f - a)
-        faces.append(("2", cx.find_face(lo, lo, fa)))
+        faces.append(("2", cx._find(lo, lo, fa)))
     fpt = Interval(p.f, p.f)
-    faces.append(("3", cx.find_face(lo, hi, fpt)))
-    faces.append(("3m", cx.find_face(hi, lo, fpt)))
+    faces.append(("3", cx._find(lo, hi, fpt)))
+    faces.append(("3m", cx._find(hi, lo, fpt)))
     one = Interval(QNum(1), QNum(1))
     for intv in (lo, hi):
-        faces.append(("4", cx.find_face(zero, intv, intv)))
-        faces.append(("4m", cx.find_face(intv, zero, intv)))
+        faces.append(("4", cx._find(zero, intv, intv)))
+        faces.append(("4m", cx._find(intv, zero, intv)))
         shifted = Interval(intv.a + 1, intv.b + 1)
-        faces.append(("4", cx.find_face(one, intv, shifted)))
-        faces.append(("4m", cx.find_face(intv, one, shifted)))
+        faces.append(("4", cx._find(one, intv, shifted)))
+        faces.append(("4m", cx._find(intv, one, shifted)))
     return faces
 
 
@@ -369,17 +369,15 @@ def _fixed_coset_points(lo: QNum, hi: QNum, p, reps) -> list[QNum]:
     return out
 
 
-def _face_samples(face, lifted):
+def _face_samples(face, p, lift):
     """Deterministic relint points of a 1-dim face, stratified by coset.
 
     Combines points aimed exactly at the reflection-fixed cosets of both
     special intervals (rational grids never land in those measure-zero
     families) with uniform rational grids that populate the two free
     classes until each has MIN_PER_CLASS hits.  Returns the distinct
-    samples, each with the sigmas of its coordinates x, y and x + y, and
-    the per-class hit counts.
+    samples and the per-class hit counts, read from ``lift(t)[1]``.
     """
-    p = lifted.params
     (x0, y0), (x1, y1) = face.vertices[0], face.vertices[-1]
     lower_reps = catalog._c_representatives()
     # on the mirror interval the reflection-fixed points are f - C
@@ -395,10 +393,8 @@ def _face_samples(face, lifted):
         if pt in seen:
             return
         seen.add(pt)
-        sigmas, classes = zip(*map(lifted.sigma_class,
-                                   (pt[0], pt[1], pt[0] + pt[1])))
-        samples.append((pt, sigmas))
-        for cls in set(classes) - {None}:
+        samples.append(pt)
+        for cls in {lift(c)[1] for c in (*pt, pt[0] + pt[1])} - {None}:
             counts[cls] += 1
 
     # aim each moving coordinate at the fixed cosets inside its own sweep
@@ -429,14 +425,6 @@ def _face_samples(face, lifted):
     return samples, counts
 
 
-def _lifted_delta(lifted, u: QNum, v: QNum, sigmas) -> QNum:
-    """lift(u) + lift(v) - lift(u + v), given the sigmas of u, v, u + v."""
-    base, s = lifted.base, lifted.params.s
-    su, sv, sw = sigmas
-    return (base.eval(u.mod1()) + base.eval(v.mod1())
-            - base.eval((u + v).mod1()) + s * (su + sv - sw))
-
-
 @_suite("lifted_preserves_additivity")
 def verify_lifted(stats, fn: PwlFunction | None = None):
     """The lifted function changes values only on the special intervals,
@@ -447,35 +435,47 @@ def verify_lifted(stats, fn: PwlFunction | None = None):
     p = lifted.params
     s = p.s
     report = additive_face_report(fn)
+    faces, nfs = report.complex.faces, report.n_f
     stats.update(nf0_faces=0, preserved_faces=0, broken_checked=0,
                  samples=0)
 
+    table = {}  # each coordinate asked: sigma, coset class, lifted value
+
+    def lift(t):
+        row = table.get(t)
+        if row is None:
+            sigma, cls = lifted.sigma_class(t)
+            row = table[t] = (sigma, cls, lifted.base.eval(t) + s * sigma)
+        return row
+
+    def delta(u, v):
+        return lift(u)[2] + lift(v)[2] - lift(u + v)[2]
+
     # (a) faces clear of the special intervals: the lift agrees pointwise;
-    # sigma is asked once per coordinate, named with the first face giving it
-    seen = set()
-    for cls, nf in zip(report.faces, report.n_f):
-        if nf != 0:
+    # each vertex is checked once, named with the first face that has it
+    _, points, _, starts, verts = faces.ids()
+    checked = bytearray(len(points))
+    for n, nf in enumerate(nfs):
+        if nf:
             continue
-        face = cls.face
         stats["nf0_faces"] += 1
-        pts = set(face.vertices)
-        if face.dim > 0:
-            pts.add(centroid(face.vertices))
+        ids = verts[starts[n]:starts[n + 1]]
+        pts = [points[i] for i in ids if not checked[i]]
+        for i in ids:
+            checked[i] = 1
+        if len(ids) > 1:
+            pts.append(centroid([points[i] for i in ids]))
         for (u, v) in pts:
             for t in (u, v, (u + v).mod1()):
-                if t in seen:
-                    continue
-                seen.add(t)
-                if lifted.sigma(t) != 0:
+                if lift(t)[0] != 0:
                     raise Refuted(f"sigma({t}) != 0 outside the special "
-                                  f"intervals (face {face.label()})")
+                                  f"intervals (face {faces[n].label()})")
 
     # (b) the tabulated additive face classes: lift stays exactly additive
     class_faces = _lifted_face_classes(fn)
-    expected = {f.triple_key for _, f in class_faces}
-    additive_meeting = {c.face.triple_key
-                        for c, nf in zip(report.faces, report.n_f)
-                        if nf > 0 and c.status == ADDITIVE}
+    expected = {n for _, n in class_faces}
+    additive_meeting = {n for n in report.faces.positions(ADDITIVE)
+                        if nfs[n]}
     if additive_meeting != expected:
         extra = additive_meeting - expected
         missing = expected - additive_meeting
@@ -485,14 +485,14 @@ def verify_lifted(stats, fn: PwlFunction | None = None):
 
     coverage = {catalog.FIXED_C: 0, catalog.PLUS_CPLUS: 0, catalog.MINUS: 0}
     min_face_coverage = None
-    for tag, face in class_faces:
-        nf = n_f(face, fn.special_intervals)
+    for tag, n in class_faces:
+        face, nf = faces[n], nfs[n]
         if face.dim != 1 or nf != 2:
             raise Refuted(f"class {tag} face {face.label()} has dim "
                           f"{face.dim}, n_F {nf}")
-        samples, counts = _face_samples(face, lifted)
-        for (u, v), sigmas in samples:
-            d = _lifted_delta(lifted, u, v, sigmas)
+        samples, counts = _face_samples(face, p, lift)
+        for (u, v) in samples:
+            d = delta(u, v)
             stats["samples"] += 1
             if d != 0:
                 raise Refuted(f"class {tag} face {face.label()} at "
@@ -512,10 +512,9 @@ def verify_lifted(stats, fn: PwlFunction | None = None):
 
     # (c) faces meeting the specials that are not additive stay strictly
     # subadditive for the lift
-    for cls, nf in zip(report.faces, report.n_f):
-        if nf == 0 or cls.status == ADDITIVE:
-            continue
-        face = cls.face
+    broken = [n for n, nf in enumerate(nfs)
+              if nf and n not in additive_meeting]
+    for face in faces.at(broken):
         if face.dim == 0:
             pts = [face.vertices[0]]
         else:
@@ -524,8 +523,7 @@ def verify_lifted(stats, fn: PwlFunction | None = None):
                 a, b = face.vertices[0], face.vertices[-1]
                 pts += [((3 * a[0] + b[0]) / 4, (3 * a[1] + b[1]) / 4)]
         for (u, v) in pts:
-            d = _lifted_delta(lifted, u, v,
-                              [lifted.sigma(t) for t in (u, v, u + v)])
+            d = delta(u, v)
             stats["broken_checked"] += 1
             if d <= 0:
                 raise Refuted(f"non-additive face {face.label()} at "
@@ -542,10 +540,10 @@ def verify_lifted(stats, fn: PwlFunction | None = None):
     probes += [r.x for r in fn.rows]
     for x in probes:
         x = x.mod1()
-        sym = lifted(x) + lifted((p.f - x).mod1())
+        sym = lift(x)[2] + lift((p.f - x).mod1())[2]
         if sym != 1 and x != 0 and (p.f - x).mod1() != 0:
             raise Refuted(f"symmetry fails at {x}: sum {sym}")
-        dev = abs(lifted(x) - fn.eval(x))
+        dev = abs(lift(x)[2] - fn.eval(x))
         if dev > s:
             raise Refuted(f"|lift - base| = {dev} > s at {x}")
         if dev > max_dev:

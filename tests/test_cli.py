@@ -194,6 +194,23 @@ def test_catalog_export_errors(capsys):
     assert "not piecewise linear" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (lambda d: ["minimality", d], "cannot read function file"),
+    (lambda d: ["catalog", "export", "kzh", "--out",
+                os.path.join(d, "missing", "kzh.txt")], "cannot write"),
+    (lambda d: ["diagram", "psi", "--out", d], "cannot write"),
+], ids=("read-a-directory", "write-into-a-missing-directory",
+        "write-over-a-directory"))
+def test_file_errors_are_input_errors(argv, message, tmp_path, capsys):
+    # exit 1 means refuted or not minimal, so a file that cannot be read or
+    # written is an input error: exit 2 and one line on stderr
+    assert main(argv(str(tmp_path))) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
 def test_diagram_files(tmp_path, capsys):
     sp = tmp_path / "psi.svg"
     assert main(["diagram", "psi", "--out", str(sp)]) == 0

@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupcut.additivity import ADDITIVE, additive_face_report, minimality_test
 from groupcut.catalog import psi_function, psi_prime_function
@@ -38,6 +39,30 @@ def test_a_midpoint_is_additive_where_both_ends_are():
         a0, a1, a2 = (set(additive_face_report(g.refine(points))
                           .faces.positions(ADDITIVE)) for g in fns)
         assert a0 == a1 & a2
+
+
+@st.composite
+def _grid_pair(draw):
+    """(pi0, pi1, pi2) drawn as ``grid_pairs`` draws them, on 1/q0 grids
+    up to q0 = 60 and with k in {2, 3, 5}."""
+    q0 = draw(st.integers(3, 60))
+    k = draw(st.sampled_from((2, 3, 5)))
+    f0 = Fraction(draw(st.integers(1, q0 - 1)), q0)
+    f = (f0 + draw(st.integers(0, k - 1))) / k
+    pi1, pi2 = gmic(f), gmic(f, k, f0)
+    return (pi1 + pi2).scale(Fraction(1, 2)), pi1, pi2
+
+
+_SEEDED = settings(derandomize=True, deadline=None, max_examples=25)
+
+
+@_SEEDED
+@given(_grid_pair())
+def test_a_drawn_midpoint_is_additive_where_both_ends_are(fns):
+    points = sorted({x for g in fns for x in g.breakpoints})
+    a0, a1, a2 = (set(additive_face_report(g.refine(points))
+                      .faces.positions(ADDITIVE)) for g in fns)
+    assert a0 == a1 & a2
 
 
 def test_a_midpoint_can_be_moved_to_both_ends():
@@ -102,3 +127,18 @@ def test_a_homomorphic_image_is_additive_where_its_image_is(k):
             assert (c.status == ADDITIVE) == \
                 (report.classification_of(image).status == ADDITIVE), \
                 c.face.label()
+
+
+@settings(_SEEDED, max_examples=10)  # an image has up to 36 breakpoints
+@given(_grid_pair(), st.sampled_from((2, 3)))
+def test_a_drawn_midpoint_has_homomorphic_images(fns, k):
+    pi0 = fns[0]
+    fk = _compose(pi0, k)
+    assert minimality_test(fk)
+    report = additive_face_report(pi0)
+    for c in additive_face_report(fk).faces:
+        u, v = centroid(c.face.vertices)
+        image = report.complex.face_of_point((k * u).mod1(), (k * v).mod1())
+        assert (c.status == ADDITIVE) == \
+            (report.classification_of(image).status == ADDITIVE), \
+            c.face.label()

@@ -1,12 +1,14 @@
 """The four claim suites, their statistics, and the mutation control."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from groupcut import covering
+from groupcut import catalog, covering
+from groupcut.additivity import additive_face_report
 from groupcut.exactnum import QNum
 from groupcut.complex2d import Complex2D
 from groupcut.pwl import PwlFunction, parse_text, to_text
@@ -163,6 +165,70 @@ def test_lifted_deviation_attained(lifted_report):
     lo, hi = fn.special_intervals[0]
     lo2, hi2 = fn.special_intervals[1]
     assert (lo < x < hi) or (lo2 < x < hi2)
+
+
+def _install_lift(monkeypatch, base=None, s_factor=1):
+    """Make the lifted suite check a lift of ``base`` (kzh by default)
+    with s scaled by ``s_factor``."""
+    lifted = catalog.LiftedFunction()
+    if base is not None:
+        lifted.base = base
+    lifted.params = dataclasses.replace(lifted.params,
+                                        s=s_factor * lifted.params.s)
+    monkeypatch.setattr(catalog, "lifted_function", lambda: lifted)
+
+
+def test_lifted_refutes_a_class_face_the_lift_breaks(monkeypatch):
+    # the lift of a nudged base is no longer additive on a class 1 face,
+    # while the analysis, of kzh itself, still finds every class face
+    _install_lift(monkeypatch, base=mutate_value(kzh_function(), 6))
+    rep = verify_lifted(kzh_function())
+    assert rep.status == REFUTED
+    assert rep.witness == (
+        "class 1 face F([219/800, 269/800], {19/100}, [371/800, 421/800]) "
+        "at (4303/64600 + 385/2584*sqrt2,19/100): lifted delta 1/1000000")
+    assert rep.statistics["samples"] == 1
+
+
+@pytest.mark.parametrize("s_factor", (3, 10, 100))
+def test_lifted_checks_broken_faces_against_a_deeper_lift(monkeypatch,
+                                                          s_factor):
+    # a larger s leaves the class faces additive, but at 100s it pulls a
+    # strictly subadditive face of kzh below zero
+    _install_lift(monkeypatch, s_factor=s_factor)
+    rep = verify_lifted(kzh_function())
+    if s_factor < 100:
+        assert rep, rep
+        return
+    assert rep.status == REFUTED
+    assert rep.witness == (
+        "non-additive face F([101/5000, 60153/369200], [219/800, 269/800], "
+        "{371/800}) at (50343/369200,241747/738400): lifted delta "
+        "-782555/22150154 <= 0")
+    assert rep.statistics["broken_checked"] == 84
+
+
+def test_lifted_evaluates_each_coordinate_once(monkeypatch):
+    # sigma and the base are asked once per distinct coordinate, not once
+    # per sample: about 9,800 coordinates against 39,395 sigma and 33,989
+    # limit calls when every sample asked again
+    report = additive_face_report(kzh_function())
+    report.n_f
+    calls = {"sigma_class": 0, "limit": 0}
+
+    def counting(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(catalog.LiftedFunction, "sigma_class")
+    counting(PwlFunction, "limit")
+    assert verify_lifted()
+    assert calls["sigma_class"] <= 12_000
+    assert calls["limit"] <= 12_000
 
 
 def test_psi_separation_builds_one_complex_per_function(monkeypatch):
