@@ -275,15 +275,11 @@ def reduced_pair(x: QNum) -> tuple[Rat, Rat]:
 
     t2 is rational and t1 is a rational multiple of sqrt2, so reducing
     a + b*sqrt2 componentwise, a mod t2 and b mod t1/sqrt2, gives one pair
-    per coset: two points share a coset iff their reduced pairs are equal.
+    per coset: two points share a coset iff their reduced pairs are equal,
+    and x is in the group iff its pair is (0, 0).
     """
     p = kzh_params()
     return (x.a % p.t2.a, x.b % p.t1.b)
-
-
-def in_group_t(q: QNum) -> bool:
-    """Membership in the additive group generated by t1 and t2."""
-    return reduced_pair(q) == (0, 0)
 
 
 @lru_cache(maxsize=None)

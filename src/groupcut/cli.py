@@ -112,7 +112,7 @@ def _cmd_additive_faces(args) -> int:
 def _cmd_covering(args) -> int:
     result = covering_components(additive_face_report(_load_pwl(args.func)))
     for i, comp in enumerate(result.components):
-        ivs = " ".join(f"({a}, {b})" for a, b in comp.intervals)
+        ivs = " ".join(f"({a}, {b})" for a, b in comp)
         print(f"component {i}: {ivs}")
     print("uncovered: " + (" ".join(f"({a}, {b})" for a, b in
                                     result.uncovered) or "none"))

@@ -44,13 +44,8 @@ class Move:
 
 
 @dataclass
-class CoveredComponent:
-    intervals: list[Span]  # fully covered open pieces
-
-
-@dataclass
 class CoveringResult:
-    components: list[CoveredComponent]
+    components: list[list[Span]]  # each a slope class of fully covered pieces
     uncovered: list[Span]
     moves: list[Move]
 
@@ -203,7 +198,6 @@ def _build(report: AdditivityReport) -> CoveringResult:
     for i, ok in enumerate(full):
         if ok:
             groups.setdefault(uf.find(i), []).append(i)
-    comps = [CoveredComponent([piece_spans[i] for i in groups[root]])
-             for root in sorted(groups)]
+    comps = [[piece_spans[i] for i in groups[root]] for root in sorted(groups)]
     uncov = [piece_spans[i] for i, ok in enumerate(full) if not ok]
     return CoveringResult(comps, uncov, [mv for mv, _, _ in moves])

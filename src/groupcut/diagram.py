@@ -2,9 +2,9 @@
 
 The SVG is presentation only: coordinates are floats rendered with 15
 significant digits, while every element carries the exact strings in
-data- attributes.  The JSON sidecar is the lossless artifact; importing
-it back reconstructs the face classification bit for bit.  Identical
-inputs produce byte-identical output.
+data- attributes.  The JSON sidecar is the lossless artifact;
+``classification_digest`` reads the face classification back from it bit
+for bit.  Identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import json
 import math
 from functools import lru_cache
 
-from .exactnum import QNum, parse_qnum
-from .pwl import PwlFunction, BreakpointRow
+from .exactnum import QNum
+from .pwl import PwlFunction
 from .complex2d import centroid, ccw_hull_order
 from .additivity import (ADDITIVE, LIMIT_ADDITIVE, AdditivityReport,
                          additive_face_report)
@@ -243,17 +243,6 @@ def render_sidecar(fn, report: AdditivityReport | None = None) -> dict:
 
 def sidecar_to_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def function_from_sidecar(data: dict) -> PwlFunction:
-    if data.get("schema") != SCHEMA:
-        raise ValueError(f"unknown schema {data.get('schema')!r}")
-    f = data["function"]
-    rows = [BreakpointRow(*(parse_qnum(c) for c in row)) for row in f["rows"]]
-    specials = tuple((parse_qnum(a), parse_qnum(b))
-                     for a, b in f["special_intervals"])
-    return PwlFunction(rows, parse_qnum(f["f"]), name=f["name"],
-                       special_intervals=specials)
 
 
 def classification_digest(source) -> dict:

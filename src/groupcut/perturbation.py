@@ -1,12 +1,12 @@
 """Exact linear systems for perturbation spaces, and epsilon constants.
 
 A minimality-preserving perturbation of a piecewise linear function is
-parametrized here by a finite list of variables: one slope variable per
-covering component, one value variable per breakpoint, and one
-midpoint-value variable per piece outside the special intervals.  The
-symmetry relations (value and midpoint pairs through f must cancel) are
-either substituted away (``eliminate_symmetry=True``) or appended as
-extra equations.  Each selected additive face contributes one equation saying
+parametrized here by a finite list of named variables: a slope ``s<k>``
+per covering component, a value ``v<i>`` per breakpoint, and a midpoint
+value ``m<j>`` per piece outside the special intervals.  The symmetry
+relations (value and midpoint pairs through f must cancel) are either
+substituted away (``eliminate_symmetry=True``) or appended as extra
+equations.  Each selected additive face contributes one equation saying
 the perturbed slack at its selected vertex stays zero.  Nullity zero of
 the resulting system certifies that no nonzero perturbation of this
 shape survives all the additivity constraints.
@@ -23,41 +23,15 @@ from .additivity import (ADDITIVE, _analyses, _minimality,
                          additive_face_report, minimality_test)
 from .covering import components as covering_components
 
-SLOPE = "slope"
-VALUE_AT_BREAKPOINT = "value_at_breakpoint"
-MIDPOINT_VALUE = "midpoint_value"
-
-
-@dataclass(frozen=True)
-class PerturbVar:
-    kind: str
-    index: int | str  # slope variable name, or breakpoint / piece index
-
-    @property
-    def name(self) -> str:
-        if self.kind == SLOPE:
-            return str(self.index)
-        prefix = "v" if self.kind == VALUE_AT_BREAKPOINT else "m"
-        return f"{prefix}{self.index}"
-
-    def __str__(self):
-        return self.name
-
-
 class LinearSystem:
     """Rows of exact linear equations ``sum coef*var = 0``."""
 
     def __init__(self, variables, rows):
-        self.variables: tuple[PerturbVar, ...] = tuple(variables)
+        self.variables: tuple[str, ...] = tuple(variables)
         self.rows: list[tuple[str, dict[str, QNum]]] = list(rows)
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
-        self._order = {n: k for k, n in enumerate(names)}
-
-    @property
-    def var_names(self) -> list[str]:
-        return [v.name for v in self.variables]
+        self._order = {n: k for k, n in enumerate(self.variables)}
+        if len(self._order) != self.n_vars:
+            raise ValueError(f"duplicate variable names in {self.variables}")
 
     @property
     def n_vars(self) -> int:
@@ -136,7 +110,7 @@ class _Parametrization:
         # one slope variable per covering component, in component order
         comps = covering_components(additive_face_report(fn)).components
         component = {span: k for k, comp in enumerate(comps)
-                     for span in comp.intervals}
+                     for span in comp}
         self.slope_name = {}
         for j in range(self.n):
             if j not in self.special_pieces:
@@ -154,23 +128,23 @@ class _Parametrization:
         for j in self.special_pieces:
             if mirror_piece[j] not in self.special_pieces:
                 raise ValueError("special intervals are not symmetric")
-        # per kind, each variable's mirror through f, or None where symmetry
-        # forces the variable to zero: the values at 0 and f, and a value or
-        # midpoint that is its own mirror
+        # per kind ("v" or "m"), each variable's mirror through f, or None
+        # where symmetry forces the variable to zero: the values at 0 and f,
+        # and a value or midpoint that is its own mirror
         mirror_bk = [self._breakpoint_index((fn.f - x).mod1())
                      for x in self.bks]
         self.mirror = {
-            VALUE_AT_BREAKPOINT: {
+            "v": {
                 i: None if x == 0 or x == fn.f or k == i else k
                 for i, (x, k) in enumerate(zip(self.bks, mirror_bk))},
-            MIDPOINT_VALUE: {j: None if k == j else k
-                             for j, k in enumerate(mirror_piece)
-                             if j not in self.special_pieces},
+            "m": {j: None if k == j else k
+                  for j, k in enumerate(mirror_piece)
+                  if j not in self.special_pieces},
         }
 
         # each variable in terms of the kept ones: substituted, a pair
         # keeps its lower variable and a forced variable is dropped
-        variables = [PerturbVar(SLOPE, f"s{k}") for k in range(len(comps))]
+        variables = [f"s{k}" for k in range(len(comps))]
         self.sub = {}
         for kind, mirror in self.mirror.items():
             self.sub[kind] = sub = {}
@@ -178,10 +152,10 @@ class _Parametrization:
                 if eliminate and k is None:
                     sub[i] = {}
                 elif eliminate and k < i:
-                    sub[i] = {PerturbVar(kind, k).name: QNum(-1)}
+                    sub[i] = {f"{kind}{k}": QNum(-1)}
                 else:
-                    variables.append(PerturbVar(kind, i))
-                    sub[i] = {variables[-1].name: QNum(1)}
+                    variables.append(f"{kind}{i}")
+                    sub[i] = {variables[-1]: QNum(1)}
         self.variables = tuple(variables)
 
     def _breakpoint_index(self, x: QNum) -> int:
@@ -207,8 +181,7 @@ class _Parametrization:
         for kind, mirror in self.mirror.items():
             for i, k in mirror.items():
                 if k is None or i < k:
-                    names = [PerturbVar(kind, j).name for j in (i, k)
-                             if j is not None]
+                    names = [f"{kind}{j}" for j in (i, k) if j is not None]
                     rows.append(("symmetry " + "+".join(names),
                                  dict.fromkeys(names, one)))
         return rows
@@ -219,7 +192,7 @@ class _Parametrization:
         kind, idx = self.fn.locate(red)
         if kind == "breakpoint":
             if side == AT:
-                return self.sub[VALUE_AT_BREAKPOINT][idx]
+                return self.sub["v"][idx]
             if side == PLUS:
                 j, tau = idx, red
             elif idx > 0:
@@ -232,7 +205,7 @@ class _Parametrization:
             raise ValueError(
                 f"equation would touch special piece {j}; the parametrization "
                 f"does not model the special intervals")
-        out = dict(self.sub[MIDPOINT_VALUE][j])
+        out = dict(self.sub["m"][j])
         name = self.slope_name[j]
         out[name] = out.get(name, QNum(0)) + (tau - self.mids[j])
         return out
@@ -292,15 +265,39 @@ class EpsilonResult:
     eps: QNum
 
 
+def _vertex_slacks(fn: PwlFunction, pert: PwlFunction) -> dict:
+    """(point id, slack of fn) -> slack of pert, at each vertex of each
+    face of the common refined complex; fn may jump, so one point can have
+    several slacks, while the continuous pert has one.  Raises where an
+    additivity of fn is not shared by pert."""
+    base, bar = _analyses((fn.refine(pert.breakpoints),
+                           pert.refine(fn.breakpoints)))
+    (k1, t1), (k2, t2) = base.faces.kinds(), bar.faces.kinds()
+    s1, s2 = [d[::2] for d in t1], [d[::2] for d in t2]
+    _, points, _, starts, verts = base.complex.faces.ids()
+    slacks = {}
+    for n, a, b in zip(range(len(k1)), k1, k2):
+        slacks.update(zip(zip(verts[starts[n]:starts[n + 1]], s1[a]), s2[b]))
+    unshared = [p for (p, dpi), dbar in slacks.items()
+                if dpi == 0 and dbar != 0]
+    if unshared:
+        u, v = min(points[p] for p in unshared)
+        raise ValueError(
+            f"additivity of the base at ({u},{v}) is not shared by the "
+            f"perturbation; containment of additivities fails")
+    return slacks
+
+
 def lipschitz_epsilon(fn: PwlFunction, pert: PwlFunction) -> EpsilonResult:
     """Scale below which fn +/- eps*pert stays minimal, by slack margins.
 
-    Requires fn minimal and pert continuous (jump discontinuities in the
-    perturbation are not handled by this bound).  The constant is
-    min(m/M, m/(8C)): vertex slacks shrink by at most eps*M, and between
-    vertices the perturbed slack function is Lipschitz with constant at
-    most 4C while the base slack grows at rate at least m/2 away from its
-    zero set.
+    Requires fn minimal, pert continuous (jump discontinuities in the
+    perturbation are not handled by this bound), pert(f) = 0, and every
+    additivity of fn shared by pert, on the common refined complex.  The
+    constant is min(m/M, m/(8C)): vertex slacks shrink by at most eps*M,
+    and between vertices the perturbed slack function is Lipschitz with
+    constant at most 4C while the base slack grows at rate at least m/2
+    away from its zero set.
     """
     if not isinstance(pert, PwlFunction):
         raise TypeError("perturbation must be piecewise linear")
@@ -311,15 +308,14 @@ def lipschitz_epsilon(fn: PwlFunction, pert: PwlFunction) -> EpsilonResult:
         raise ValueError("cannot combine functions with different f")
     if not minimality_test(fn):
         raise ValueError("base function is not minimal")
+    if pert.eval(fn.f):
+        raise ValueError("perturbation does not vanish at f")
 
-    report = additive_face_report(fn)
-    m = min((slack for data in report.faces.kinds()[1] for slack in data[::2]
-             if slack > 0), default=None)
+    slacks = _vertex_slacks(fn, pert)
+    m = min((dpi for _, dpi in slacks if dpi > 0), default=None)
     if m is None:
         raise ValueError("base function has no positive vertex slack")
-
-    # the complex's distinct points are the vertices of its faces
-    M = max(abs(pert.delta(u, v)) for u, v in report.complex.faces.ids()[1])
+    M = max(map(abs, slacks.values()))
     if M == 0:
         raise ValueError("perturbation is additive at every complex vertex; "
                          "the bound degenerates")
@@ -345,24 +341,8 @@ def scaling_epsilon(fn: PwlFunction, pert: PwlFunction) -> QNum:
     if fn.f != pert.f:
         raise ValueError("cannot combine functions with different f")
 
-    # on the common refined complex; for continuous functions a vertex
-    # slack is the plain delta at the vertex, whatever its face and sides
-    base, bar = _analyses((fn.refine(pert.breakpoints),
-                           pert.refine(fn.breakpoints)))
-    (k1, t1), (k2, t2) = base.faces.kinds(), bar.faces.kinds()
-    s1, s2 = [d[::2] for d in t1], [d[::2] for d in t2]
-    _, points, _, starts, verts = base.complex.faces.ids()
-    slacks = {}
-    for n, a, b in zip(range(len(k1)), k1, k2):
-        slacks.update(zip(verts[starts[n]:starts[n + 1]], zip(s1[a], s2[b])))
-    unshared = [p for p, (dpi, dbar) in slacks.items()
-                if dpi == 0 and dbar != 0]
-    if unshared:
-        u, v = min(points[p] for p in unshared)
-        raise ValueError(
-            f"additivity of the base at ({u},{v}) is not shared by the "
-            f"perturbation; containment of additivities fails")
-    best = min((dpi / dbar for dpi, dbar in slacks.values() if dbar > 0),
+    slacks = _vertex_slacks(fn, pert)
+    best = min((dpi / dbar for (_, dpi), dbar in slacks.items() if dbar > 0),
                default=None)
     if best is None:
         raise ValueError("perturbation never strains subadditivity; "

@@ -8,7 +8,7 @@ from functools import lru_cache
 from math import isqrt
 
 from groupcut.complex2d import Interval, make_face
-from groupcut.exactnum import QNum
+from groupcut.exactnum import QNum, parse_qnum
 from groupcut.pwl import PwlFunction, BreakpointRow
 
 # -- a midpoint pair for the step-size constants -------------------------------
@@ -450,8 +450,7 @@ def reference_covering(report):
     _UnionFind, with every span placed in its piece by bisection."""
     import bisect
     from groupcut.additivity import ADDITIVE
-    from groupcut.covering import (CoveredComponent, CoveringResult,
-                                   _PieceCover, _UnionFind)
+    from groupcut.covering import CoveringResult, _PieceCover, _UnionFind
     piece_faces = report.complex.faces_x[1::2]
     piece_spans = [(p.a, p.b) for p in piece_faces]
     los = [p.a for p in piece_faces]
@@ -498,8 +497,7 @@ def reference_covering(report):
     for i, ok in enumerate(full):
         if ok:
             groups.setdefault(uf.find(i), []).append(i)
-    comps = [CoveredComponent([piece_spans[i] for i in groups[root]])
-             for root in sorted(groups)]
+    comps = [[piece_spans[i] for i in groups[root]] for root in sorted(groups)]
     uncov = [piece_spans[i] for i, ok in enumerate(full) if not ok]
     return CoveringResult(comps, uncov, moves)
 
@@ -522,7 +520,9 @@ def reference_e_containment(fn1, fn2):
 
 
 def reference_lipschitz_epsilon(fn, pert):
-    """``lipschitz_epsilon`` on slack records; f is not compared."""
+    """``lipschitz_epsilon`` on slack records of the common refined
+    complex, vertices visited in sorted order, each function analysed
+    alone; f is not compared."""
     from groupcut.additivity import additive_face_report, minimality_test
     from groupcut.perturbation import EpsilonResult
     if not isinstance(pert, PwlFunction):
@@ -532,7 +532,20 @@ def reference_lipschitz_epsilon(fn, pert):
                          "continuous perturbation")
     if not minimality_test(fn):
         raise ValueError("base function is not minimal")
-    records = [r for fc in additive_face_report(fn).faces for r in fc.slacks]
+    if pert.eval(fn.f) != 0:
+        raise ValueError("perturbation does not vanish at f")
+    base, bar = (additive_face_report(g)
+                 for g in (fn.refine(pert.breakpoints),
+                           pert.refine(fn.breakpoints)))
+    pairs = sorted((r1.vertex, r1.slack, r2.slack)
+                   for c1, c2 in zip(base.faces, bar.faces)
+                   for r1, r2 in zip(c1.slacks, c2.slacks))
+    for (u, v), dpi, dbar in pairs:
+        if dpi == 0 and dbar != 0:
+            raise ValueError(
+                f"additivity of the base at ({u},{v}) is not shared by the "
+                f"perturbation; containment of additivities fails")
+    records = [r for fc in base.faces for r in fc.slacks]
     m = min((r.slack for r in records if r.slack > 0), default=None)
     if m is None:
         raise ValueError("base function has no positive vertex slack")
@@ -575,3 +588,16 @@ def reference_scaling_epsilon(fn, pert):
         raise ValueError("perturbation never strains subadditivity; "
                          "no finite scale is determined")
     return best
+
+
+def function_from_sidecar(data: dict) -> PwlFunction:
+    """The function a diagram sidecar describes, read back exactly."""
+    from groupcut.diagram import SCHEMA
+    if data.get("schema") != SCHEMA:
+        raise ValueError(f"unknown schema {data.get('schema')!r}")
+    f = data["function"]
+    rows = [BreakpointRow(*(parse_qnum(c) for c in row)) for row in f["rows"]]
+    specials = tuple((parse_qnum(a), parse_qnum(b))
+                     for a, b in f["special_intervals"])
+    return PwlFunction(rows, parse_qnum(f["f"]), name=f["name"],
+                       special_intervals=specials)

@@ -18,7 +18,7 @@ import groupcut
 from groupcut import diagram
 from groupcut.cli import _build_parser, main
 from groupcut.exactnum import QNum
-from groupcut.pwl import load, to_text
+from groupcut.pwl import PwlFunction, load, to_text
 from groupcut.catalog import (kzh_function, kzh_params, lifted_function,
                               psi_function)
 from helpers import gmic, midpoint_pair
@@ -133,6 +133,18 @@ def test_epsilon_lipschitz(pair_files, capsys):
     out = capsys.readouterr().out
     assert "minimal at +epsilon: True" in out
     assert "minimal at -epsilon: True" in out
+
+
+def test_epsilon_lipschitz_refuses_a_perturbation_that_moves_f(tmp_path,
+                                                               capsys):
+    path = tmp_path / "fn.txt"
+    path.write_text(to_text(PwlFunction.continuous_from_values(
+        [(0, 0), (Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), 1),
+         (Fraction(3, 4), Fraction(1, 2))], Fraction(1, 2))))
+    assert main(["epsilon", "lipschitz", str(path), str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: perturbation does not vanish at f\n"
 
 
 def test_epsilon_scaling(pair_files, capsys):

@@ -20,7 +20,7 @@ def test_two_slope_fully_covered():
                                             Fraction(1, 2))
     res = components(additive_face_report(fn))
     assert res.uncovered == []
-    assert sorted(iv for c in res.components for iv in c.intervals) == _spans(
+    assert sorted(iv for c in res.components for iv in c) == _spans(
         [(0, Fraction(1, 2)), (Fraction(1, 2), 1)])
 
 
@@ -32,7 +32,7 @@ def test_directly_covered_comes_from_two_dim_faces():
     direct = {(p.a, p.b) for F in additive if F.dim == 2 for p in (F.p1, F.p2)}
     assert _spans([(0, Fraction(1, 2))])[0] in direct
     # each of them lies in a piece that the covering marks covered
-    covered = [iv for c in components(rep).components for iv in c.intervals]
+    covered = [iv for c in components(rep).components for iv in c]
     assert all(any(lo <= a and b <= hi for lo, hi in covered)
                for a, b in direct)
 
@@ -59,7 +59,7 @@ def test_covering_is_built_once_per_analysis():
 def test_psi_covering_is_partial():
     res = components(additive_face_report(psi_function()))
     assert len(res.components) == 1
-    assert sorted(res.components[0].intervals) == _spans(
+    assert sorted(res.components[0]) == _spans(
         [(0, Fraction(1, 8)), (Fraction(3, 8), Fraction(1, 2))])
     assert sorted(res.uncovered) == _spans(
         [(Fraction(1, 8), Fraction(3, 8)), (Fraction(1, 2), Fraction(5, 8)),
@@ -70,10 +70,10 @@ def test_kzh_covering_two_components_and_special_gaps():
     fn = kzh_function()
     res = components(additive_face_report(fn))
     assert len(res.components) == 2
-    assert {len(c.intervals) for c in res.components} == {19}
+    assert {len(c) for c in res.components} == {19}
     assert sorted(res.uncovered) == sorted(fn.special_intervals)
     covered_len = sum((b - a) for c in res.components
-                      for (a, b) in c.intervals)
+                      for (a, b) in c)
     gap_len = sum((b - a) for (a, b) in res.uncovered)
     assert covered_len + gap_len == 1
 
@@ -82,6 +82,6 @@ def test_components_are_disjoint():
     res = components(additive_face_report(kzh_function()))
     seen = set()
     for comp in res.components:
-        for iv in comp.intervals:
+        for iv in comp:
             assert iv not in seen
             seen.add(iv)

@@ -11,9 +11,11 @@ from groupcut.additivity import additive_face_report
 from groupcut.catalog import (kzh_params, lifted_function, psi_function,
                               psi_prime_function)
 from groupcut.diagram import (
-    SCHEMA, classification_digest, function_from_sidecar, render_sidecar,
-    render_svg, sidecar_to_json,
+    SCHEMA, classification_digest, render_sidecar, render_svg,
+    sidecar_to_json,
 )
+
+from helpers import function_from_sidecar
 
 Q = lambda *a: QNum(Fraction(*a))
 GREEN = "#1a9641"

@@ -107,3 +107,66 @@ def test_the_package_finds_faces_by_vertex_keys_only():
     # the guard sees a call where there is one
     assert _by_value_face_calls(ast.parse(
         "def f(I, J, K):\n    return complex2d.make_face(I, J, K)\n")) == [2]
+
+
+# public names outside __all__ that nothing in the package reads, each kept
+# for a reader outside it
+_PUBLIC_WITHOUT_A_CALLER = {
+    "make_face",  # the tests' by-value reference; bench/tracing.py rebinds it
+    "face_of_point",  # documented API (README)
+    "continuous_from_values",  # documented API (README)
+    "triple_key",  # documented API (README)
+    "classification_digest",  # bench/worker.py reads it
+    "is_rational",  # bench/worker.py reads it
+    "mutate_value",  # bench/test_checks.py reads it
+}
+
+
+def _unread_public_names(trees) -> list[str]:
+    """Public functions, classes, methods and properties of the trees that
+    are not in ``__all__`` and that no ``Name`` or ``Attribute`` reads."""
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    defined = {node.name for node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and not node.name.startswith("_")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for node in nodes if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(defined - read - set(groupcut.__all__))
+
+
+def test_every_public_name_has_a_caller():
+    """A public name leaves the package with its last caller, unless the
+    allow-list above says who else reads it."""
+    src = Path(groupcut.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    assert _unread_public_names(trees) == sorted(_PUBLIC_WITHOUT_A_CALLER)
+    # the guard sees an unread name where there is one
+    extra = ast.parse("def in_group_t(q):\n    return reduced_pair(q)\n")
+    assert "in_group_t" in _unread_public_names(trees + [extra])
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names that an import of the module binds and the module never reads."""
+    bound = {(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_every_import_is_read():
+    """Each module other than ``__init__`` reads every name it imports."""
+    src = Path(groupcut.__file__).parent
+    found = [f"{path.name}: {name}" for path in sorted(src.glob("*.py"))
+             if path.name != "__init__.py"
+             for name in _unused_imports(ast.parse(path.read_text()))]
+    assert found == []
+    # the guard sees an unused import where there is one
+    assert _unused_imports(ast.parse(
+        "from .exactnum import QNum, parse_qnum\nx = QNum(1)\n")) == [
+            "parse_qnum"]

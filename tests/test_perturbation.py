@@ -11,14 +11,14 @@ from groupcut.pwl import PwlFunction
 from groupcut.additivity import ADDITIVE, additive_face_report, minimality_test
 from groupcut.covering import components as covering_components
 from groupcut.perturbation import (
-    SLOPE, EpsilonResult, LinearSystem, PerturbVar, build_system,
+    EpsilonResult, LinearSystem, build_system,
     drop_one_ranks, lipschitz_epsilon, scaling_epsilon, verify_effective,
 )
 from groupcut.catalog import kzh_function, lifted_function
 from groupcut.verify import kzh_selected_faces
 
 from helpers import (
-    midpoint_pair, random_gap_instance, gap_instance_holds,
+    grid_pairs, midpoint_pair, random_gap_instance, gap_instance_holds,
 )
 
 Q = lambda *a: QNum(Fraction(*a))
@@ -28,8 +28,7 @@ H = Fraction(1, 2)
 # -- LinearSystem ----------------------------------------------------------------
 
 def _toy_system():
-    vs = [PerturbVar("slope", "s_a"), PerturbVar("value_at_breakpoint", 3),
-          PerturbVar("midpoint_value", 2)]
+    vs = ["s_a", "v3", "m2"]
     rows = [("r1", {"s_a": Q(1), "v3": Q(-1)}),
             ("r2", {"v3": Q(2)}),
             ("r3", {"s_a": Q(1), "v3": Q(1)})]
@@ -38,7 +37,7 @@ def _toy_system():
 
 def test_var_names():
     sy = _toy_system()
-    assert sy.var_names == ["s_a", "v3", "m2"]
+    assert list(sy.variables) == ["s_a", "v3", "m2"]
     assert str(sy.variables[1]) == "v3"
 
 
@@ -51,7 +50,7 @@ def test_toy_rank_and_nullity():
 
 
 def test_drop_one_ranks_with_a_redundant_row():
-    vs = [PerturbVar("slope", n) for n in "abc"]
+    vs = list("abc")
     rows = [("r0", {"a": Q(1)}), ("r1", {"b": Q(1)}), ("r2", {"a": Q(2)}),
             ("r3", {"c": Q(1)})]
     sy = LinearSystem(vs, rows)
@@ -61,7 +60,7 @@ def test_drop_one_ranks_with_a_redundant_row():
 
 
 def test_drop_one_ranks_of_independent_rows():
-    vs = [PerturbVar("slope", n) for n in "abc"]
+    vs = list("abc")
     rows = [("r0", {"a": Q(1), "b": Q(1)}), ("r1", {"b": Q(2)}),
             ("r2", {"c": Q(1), "a": Q(-1)})]
     sy = LinearSystem(vs, rows)
@@ -78,7 +77,7 @@ def test_drop_row():
 
 
 def test_rank_with_irrational_coefficients():
-    vs = [PerturbVar("slope", "a"), PerturbVar("slope", "b")]
+    vs = ["a", "b"]
     r2 = QNum(0, 1)
     sy = LinearSystem(vs, [("p", {"a": r2, "b": Q(2)}),
                            ("q", {"a": Q(1), "b": r2})])
@@ -103,7 +102,7 @@ def test_build_system_from_two_slope_function():
     assert sy.n_rows == len(selected)
     # with no special intervals the unknowns are just the slopes of the two
     # covering components, and the selected additive faces pin both
-    assert sy.var_names == ["s0", "s1"]
+    assert list(sy.variables) == ["s0", "s1"]
     assert sy.rank == 2
 
 
@@ -131,7 +130,7 @@ def test_build_system_with_a_covered_special_piece():
         Fraction(1, 4))
     assert len(covering_components(additive_face_report(fn)).components) == 2
     sy = build_system(fn, ((0, Fraction(1, 4)),), [])
-    assert [v.name for v in sy.variables if v.kind == SLOPE] == ["s0", "s1"]
+    assert [v for v in sy.variables if v.startswith("s")] == ["s0", "s1"]
 
 
 def test_build_system_takes_the_last_piece_as_a_special_interval():
@@ -141,7 +140,7 @@ def test_build_system_takes_the_last_piece_as_a_special_interval():
         [(0, 0), (Fraction(1, 4), 1), (H, 0), (Fraction(3, 4), 1)],
         Fraction(1, 4))
     specials = ((Fraction(1, 4), H), (Fraction(3, 4), 1))
-    assert build_system(fn, specials, []).var_names == ["s0", "s1", "v2"]
+    assert build_system(fn, specials, []).variables == ("s0", "s1", "v2")
     with pytest.raises(ValueError, match="not symmetric"):
         build_system(fn, specials[1:], [])
     with pytest.raises(ValueError, match="not a single piece"):
@@ -165,13 +164,13 @@ def test_build_system_with_three_covering_components():
     selected = [(face, v) for face in rep.complex.faces.at(
                     rep.faces.positions(ADDITIVE)) for v in face.vertices]
     sy = build_system(fn, (), selected)
-    assert sy.var_names[:3] == ["s0", "s1", "s2"]
+    assert sy.variables[:3] == ("s0", "s1", "s2")
     assert sy.n_vars == sy.rank == 7
 
 
 def _system_text(sy) -> str:
     """The variables, then per row in order its label and coefficients."""
-    return "\n".join([" ".join(sy.var_names)] + [
+    return "\n".join([" ".join(sy.variables)] + [
         f"{label}: " + " ".join(f"{n}={c}" for n, c in sorted(coeffs.items()))
         for label, coeffs in sy.rows])
 
@@ -249,7 +248,7 @@ def test_systems_are_pinned(name, eliminate):
         selected = _every_modelled_vertex(fn, specials)
     sy = build_system(fn, specials, selected, eliminate_symmetry=eliminate)
     names, n_rows, digest = _PINNED_SYSTEMS[name, eliminate]
-    assert " ".join(sy.var_names) == names
+    assert " ".join(sy.variables) == names
     assert sy.n_rows == n_rows
     text = _system_text(sy)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -303,6 +302,42 @@ def test_lipschitz_error_paths():
     zero = PwlFunction.continuous_from_values([(0, 0), (H, 0)], H)
     with pytest.raises(ValueError, match="degenerates"):
         lipschitz_epsilon(pi0, zero)
+
+
+def test_lipschitz_refuses_an_unshared_additivity():
+    # pi1 = pi0 + bar0 is the two-slope function, which is extreme: bar0
+    # breaks additivities of it, so no scale keeps pi1 +/- eps*bar0 minimal
+    pi0, bar0 = midpoint_pair()
+    pi1 = pi0 + bar0
+    assert minimality_test(pi1)
+    with pytest.raises(ValueError, match="not shared by the perturbation"):
+        lipschitz_epsilon(pi1, bar0)
+
+
+def test_lipschitz_refuses_a_perturbation_that_moves_f():
+    fn = PwlFunction.continuous_from_values(
+        [(0, 0), (Fraction(1, 4), H), (H, 1), (Fraction(3, 4), H)], H)
+    assert minimality_test(fn)
+    with pytest.raises(ValueError, match="does not vanish at f"):
+        lipschitz_epsilon(fn, fn)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_every_lipschitz_epsilon_is_effective(seed):
+    """Whenever lipschitz_epsilon returns, fn +/- eps*pert are minimal;
+    the extreme pi1 and every pert that breaks an additivity of pi0 are
+    refused."""
+    returned = 0
+    for pi0, pert, pi1 in grid_pairs(seed, 8):
+        for fn, p in ((pi0, pert), (pi1, pert), (pi0, pert.scale(-3)),
+                      (pi0, pert.scale(Fraction(1, 7)))):
+            try:
+                eps = lipschitz_epsilon(fn, p).eps
+            except ValueError:
+                continue
+            returned += 1
+            assert verify_effective(fn, p, eps)
+    assert returned > 0
 
 
 def test_scaling_error_paths():

@@ -156,7 +156,8 @@ def test_epsilons_are_the_reference():
                                    if isinstance(got, tuple) else "ok")
     assert seen == {
         "lipschitz_epsilon": {"ok", "base function is",
-                              "perturbation is additive"},
+                              "perturbation is additive",
+                              "additivity of the"},
         "scaling_epsilon": {"ok", "additivity of the",
                             "perturbation never strains"}}
 
