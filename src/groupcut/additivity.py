@@ -178,8 +178,11 @@ class AdditivityReport:
     @cached_property
     def n_f(self) -> bytes:
         """n_F of each face against the function's special intervals,
-        parallel to ``faces``; each n_F is 0 to 3, so one byte holds it."""
+        parallel to ``faces``; each n_F is 0 to 3, so one byte holds it.
+        Without special intervals every n_F is 0, and no face is built."""
         specials = self.fn.special_intervals
+        if not specials:
+            return bytes(len(self.faces))
         return bytes(n_f(face, specials) for face in self.complex.faces)
 
     def classification_of(self, face: Face2D) -> FaceClassification:

@@ -25,7 +25,7 @@ import bisect
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cmp_to_key, partial
+from functools import cached_property, cmp_to_key, partial
 from itertools import pairwise
 from operator import itemgetter
 
@@ -459,19 +459,20 @@ class Complex2D:
             raise ArithmeticError(f"cells {fi, fj, fk} have no stored face")
         return n
 
+    @cached_property
+    def _cells(self) -> dict[Interval, int]:
+        """Each 1-D face over [0, 2] -> its position in ``faces_k``; the
+        faces over [0, 1] come first, at their positions in ``faces_x``."""
+        return {iv: c for c, iv in enumerate(self.faces_k)}
+
     def _find(self, I: Interval, J: Interval, K: Interval) -> int:
         """Position in ``faces`` of F(I, J, K) for 1-D faces I, J over
         [0, 1] and K over [0, 2] of this complex."""
-        at = []
-        for points, cells, iv in ((self.points_x, self.faces_x, I),
-                                  (self.points_x, self.faces_x, J),
-                                  (self.points_k, self.faces_k, K)):
-            c = _cell_at(points, iv.a) + (not iv.is_point)
-            if c >= len(cells) or cells[c] != iv:
-                raise ValueError(f"F({I}, {J}, {K}) is not a face of the "
-                                 f"complex")
-            at.append(c)
-        return self._position(*at)
+        cells, nx = self._cells, len(self.faces_x)
+        fi, fj, fk = cells.get(I, nx), cells.get(J, nx), cells.get(K)
+        if fi >= nx or fj >= nx or fk is None:
+            raise ValueError(f"F({I}, {J}, {K}) is not a face of the complex")
+        return self._position(fi, fj, fk)
 
     def face_of_point(self, x, y) -> Face2D:
         """The unique face whose relative interior contains (x, y)."""

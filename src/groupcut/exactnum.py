@@ -21,9 +21,16 @@ QNumLike = Union["QNum", int, Fraction, str]
 
 
 @lru_cache(maxsize=4096)
-def _hash_inverse(d: int) -> int:
-    """1/d modulo the hash modulus, as Fraction.__hash__ uses it."""
-    return pow(d, -1, sys.hash_info.modulus)
+def _rational_hash(p: int, d: int) -> int:
+    """hash(Fraction(p, d)) for p/d in lowest terms with d > 1, worked out
+    as Fraction.__hash__ does it, so that dict keys that mix the two
+    work."""
+    try:
+        h = hash(hash(abs(p)) * pow(d, -1, sys.hash_info.modulus))
+    except ValueError:  # d is a multiple of the modulus
+        h = sys.hash_info.inf
+    h = h if p >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def _sign(p: int, q: int) -> int:
@@ -195,14 +202,7 @@ class QNum:
             return hash((p, q, d))
         if d == 1:
             return hash(p)
-        # a rational value hashes like its Fraction, so that dict keys that
-        # mix the two work; this is Fraction.__hash__
-        try:
-            h = hash(hash(abs(p)) * _hash_inverse(d))
-        except ValueError:  # d is a multiple of the modulus
-            h = sys.hash_info.inf
-        h = h if p >= 0 else -h
-        return -2 if h == -1 else h
+        return _rational_hash(p, d)
 
     def __bool__(self):
         return self._p != 0 or self._q != 0

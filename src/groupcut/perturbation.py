@@ -14,8 +14,10 @@ shape survives all the additivity constraints.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from .exactnum import QNum
 from .pwl import AT, PLUS, PwlFunction
@@ -24,14 +26,25 @@ from .additivity import (ADDITIVE, _analyses, _minimality,
 from .covering import components as covering_components
 
 class LinearSystem:
-    """Rows of exact linear equations ``sum coef*var = 0``."""
+    """Rows of exact linear equations ``sum coef*var = 0``.
+
+    A row is (label, coefficients), the coefficients a mapping from
+    variable names to QNums.  Rows that share one mapping, as the equal
+    rows of ``build_system`` do, are eliminated once.
+    """
 
     def __init__(self, variables, rows):
         self.variables: tuple[str, ...] = tuple(variables)
-        self.rows: list[tuple[str, dict[str, QNum]]] = list(rows)
+        self.rows: list[tuple[str, Mapping[str, QNum]]] = list(rows)
         self._order = {n: k for k, n in enumerate(self.variables)}
         if len(self._order) != self.n_vars:
             raise ValueError(f"duplicate variable names in {self.variables}")
+        for label, coeffs in _distinct(self.rows):
+            unknown = coeffs.keys() - self._order.keys()
+            if unknown:
+                raise ValueError(f"row {label!r} names "
+                                 f"{', '.join(sorted(map(str, unknown)))}, "
+                                 f"not among the variables")
 
     @property
     def n_vars(self) -> int:
@@ -53,31 +66,49 @@ class LinearSystem:
 
     @cached_property
     def rank(self) -> int:
-        mat = self.matrix()
-        ncols = self.n_vars
-        r = 0
-        for c in range(ncols):
-            piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-            if piv is None:
-                continue
-            mat[r], mat[piv] = mat[piv], mat[r]
-            inv = mat[r][c]
-            for i in range(r + 1, len(mat)):
-                if mat[i][c]:
-                    factor = mat[i][c] / inv
-                    mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-            r += 1
-            if r == len(mat):
+        """Rank over Q(sqrt2), by elimination on the distinct rows, each
+        kept sparse as {column: coefficient}.  A pivot row is scaled to 1
+        at its least column and holds only the columns after it, so
+        reducing a row by pivots raises its least column; elimination
+        stops once every column has a pivot."""
+        order, pivots = self._order, {}
+        for _, coeffs in _distinct(self.rows):
+            if len(pivots) == self.n_vars:
                 break
-        return r
+            row = {order[n]: c for n, c in coeffs.items() if c}
+            while row:
+                col = min(row)
+                factor = row.pop(col)
+                pivot = pivots.get(col)
+                if pivot is None:
+                    inv = 1 / factor
+                    pivots[col] = {j: a * inv for j, a in row.items()}
+                    break
+                for j, a in pivot.items():
+                    c = row.get(j)
+                    c = -(factor * a) if c is None else c - factor * a
+                    if c:
+                        row[j] = c
+                    else:
+                        del row[j]
+        return len(pivots)
 
     @property
     def nullspace_dim(self) -> int:
         return self.n_vars - self.rank
 
     def drop_row(self, i: int) -> "LinearSystem":
-        rows = self.rows[:i] + self.rows[i + 1:]
-        return LinearSystem(self.variables, rows)
+        if not 0 <= i < self.n_rows:
+            raise IndexError(f"no row {i} in a system of {self.n_rows} rows")
+        return LinearSystem(self.variables, self.rows[:i] + self.rows[i + 1:])
+
+
+def _distinct(rows):
+    """The first row of each coefficient mapping, by identity, in order."""
+    first = {}
+    for row in rows:
+        first.setdefault(id(row[1]), row)
+    return first.values()
 
 
 def drop_one_ranks(system: LinearSystem) -> list[int]:
@@ -220,12 +251,15 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
     not be valid, so that is an error), and every vertex one of the
     face's vertices, whose limit sides the face's classification holds.
     Returns the system with one row per pair, plus explicit symmetry rows
-    when ``eliminate_symmetry`` is off.
+    when ``eliminate_symmetry`` is off.  Each (coordinate, side) is
+    expanded once, and equal rows share one read-only mapping.
     """
     param = _Parametrization(fn, special_intervals, eliminate_symmetry)
     report = additive_face_report(fn)
 
     rows = []
+    terms = {}  # (coordinate, side, sign) -> sign times its expansion
+    shared = {}  # a row's sorted (name, coefficient) pairs -> its mapping
     same = {}.setdefault  # one object per distinct coefficient value
     for face, vertex in selected_faces:
         cls = report.classification_of(face)
@@ -240,14 +274,22 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
                              f"{face.label()}") from None
         s1, s2, s3 = cls.slack_sides[2 * i + 1]
         coeffs: dict[str, QNum] = {}
-        for term, sign in ((param.expansion(u, s1), 1),
-                           (param.expansion(v, s2), 1),
-                           (param.expansion(u + v, s3), -1)):
+        for key in ((u, s1, 1), (v, s2, 1), (u + v, s3, -1)):
+            term = terms.get(key)
+            if term is None:
+                t, side, sign = key
+                term = terms[key] = {
+                    n: c if sign > 0 else -c
+                    for n, c in param.expansion(t, side).items()}
             for name, c in term.items():
-                coeffs[name] = coeffs.get(name, QNum(0)) + (c if sign > 0 else -c)
-        coeffs = {n: same(c, c) for n, c in coeffs.items() if c}
-        label = f"{face.label().replace(' ', '')} ({u},{v})".replace(" ", "")
-        rows.append((label, coeffs))
+                old = coeffs.get(name)
+                coeffs[name] = c if old is None else old + c
+        key = tuple(sorted((n, c) for n, c in coeffs.items() if c))
+        row = shared.get(key)
+        if row is None:
+            row = shared[key] = MappingProxyType(
+                {n: same(c, c) for n, c in key})
+        rows.append((f"{face.label()}({u},{v})".replace(" ", ""), row))
 
     if not eliminate_symmetry:
         rows.extend(param.symmetry_rows())

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import types
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -334,6 +337,52 @@ def pair_floor(x) -> int:
     while pair_sign((a - n - 1, b)) >= 0:
         n += 1
     return n
+
+
+# -- what a kept object holds -------------------------------------------------
+
+
+def retained(root) -> tuple[int, int]:
+    """The bytes (``sys.getsizeof``) of the objects reachable from root,
+    each counted once, and how many of them gc tracks; not through
+    classes, modules or functions."""
+    stop = (type, types.ModuleType, types.FunctionType,
+            types.BuiltinFunctionType, types.MethodType)
+    seen, stack, size, tracked = set(), [root], 0, 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, stop):
+            continue
+        seen.add(id(obj))
+        size += sys.getsizeof(obj)
+        tracked += gc.is_tracked(obj)
+        stack.extend(gc.get_referents(obj))
+    return size, tracked
+
+
+# -- dense elimination, the reference of LinearSystem.rank --------------------
+
+
+def reference_rank(matrix) -> int:
+    """Rank of a list of QNum rows by dense Gaussian elimination, column by
+    column, over every row."""
+    mat = [list(row) for row in matrix]
+    ncols = len(mat[0]) if mat else 0
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = mat[r][c]
+        for i in range(r + 1, len(mat)):
+            if mat[i][c]:
+                factor = mat[i][c] / inv
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+        if r == len(mat):
+            break
+    return r
 
 
 # -- the mutation controls of the four claim suites ---------------------------

@@ -2,16 +2,15 @@
 
 import gc
 import random
-import sys
-import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupcut import additivity
 from groupcut.exactnum import QNum
 from groupcut.pwl import BreakpointRow, PwlFunction, parse_text, to_text
-from groupcut.complex2d import Interval
+from groupcut.complex2d import Interval, _FaceStore, n_f
 from groupcut.additivity import (ADDITIVE, LIMIT_ADDITIVE, NON_ADDITIVE,
                                  additive_face_report, classify_face,
                                  e_containment, minimality_test,
@@ -20,7 +19,7 @@ from groupcut.catalog import (kzh_function, kzh_params, psi_function,
                               psi_prime_function)
 from groupcut.diagram import render_sidecar
 
-from helpers import random_pwl, sampling_minimality_oracle
+from helpers import random_pwl, retained, sampling_minimality_oracle
 
 H = Fraction(1, 2)
 Q = lambda *a: QNum(Fraction(*a))
@@ -190,30 +189,12 @@ KZH_ANALYSIS_BYTES = 2_188_589
 KZH_ANALYSIS_OBJECTS = 17_578
 
 
-def _retained(root) -> tuple[int, int]:
-    """The bytes (``sys.getsizeof``) of the objects reachable from root,
-    each counted once, and how many of them gc tracks; not through
-    classes, modules or functions."""
-    stop = (type, types.ModuleType, types.FunctionType,
-            types.BuiltinFunctionType, types.MethodType)
-    seen, stack, size, tracked = set(), [root], 0, 0
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, stop):
-            continue
-        seen.add(id(obj))
-        size += sys.getsizeof(obj)
-        tracked += gc.is_tracked(obj)
-        stack.extend(gc.get_referents(obj))
-    return size, tracked
-
-
 def test_a_kept_kzh_analysis_stays_small():
     fn = parse_text(to_text(kzh_function()))
     report = additive_face_report(fn)
     report.classification_of(report.faces[0].face)
     gc.collect()
-    size, tracked = _retained(report)
+    size, tracked = retained(report)
     assert size < KZH_ANALYSIS_BYTES * 1.05
     assert tracked < KZH_ANALYSIS_OBJECTS * 1.02
 
@@ -232,6 +213,57 @@ def test_n_f_is_computed_once_per_face(monkeypatch):
     render_sidecar(fn)
     assert rep.n_f is additive_face_report(fn).n_f
     assert len(calls) == len(rep.faces)
+
+@st.composite
+def _grid_functions(draw):
+    """A continuous function through random values on a few points of a
+    random 1/N grid, N <= 40, with f one of its breakpoints."""
+    n = draw(st.integers(2, 40))
+    rest = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1,
+                               max_size=min(n - 1, 7))))
+    f = Fraction(draw(st.sampled_from(rest)), n)
+    values = draw(st.lists(st.integers(0, n), min_size=len(rest),
+                           max_size=len(rest)))
+    return PwlFunction.continuous_from_values(
+        [(0, 0)] + [(Fraction(i, n), 1 if Fraction(i, n) == f
+                     else Fraction(v, n)) for i, v in zip(rest, values)], f)
+
+
+def _no_face(self, positions):
+    raise AssertionError("a face was built")
+
+
+def _assert_n_f_without_specials_builds_no_face(fn, monkeypatch):
+    report = additive_face_report(fn)
+    by_face = bytes(n_f(face, ()) for face in report.complex.faces)
+    assert fn.special_intervals == () and set(by_face) <= {0}
+    with monkeypatch.context() as m:
+        m.setattr(_FaceStore, "at", _no_face)
+        assert report.n_f == by_face
+
+
+@pytest.mark.parametrize("make", [psi_function, psi_prime_function, gmic,
+                                  lambda: gmic(Fraction(4, 5))])
+def test_n_f_of_a_catalog_function_without_specials(make, monkeypatch):
+    fn = make()
+    _assert_n_f_without_specials_builds_no_face(PwlFunction(fn.rows, fn.f),
+                                                monkeypatch)
+    # the guard sees a face built where one is: n_F against a special
+    # interval reads every face
+    special = PwlFunction(fn.rows, fn.f, special_intervals=(
+        (fn.breakpoints[0], fn.breakpoints[1]),))
+    report = additive_face_report(special)
+    monkeypatch.setattr(_FaceStore, "at", _no_face)
+    with pytest.raises(AssertionError, match="a face was built"):
+        report.n_f
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_grid_functions())
+def test_n_f_of_a_grid_function_without_specials(fn):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_n_f_without_specials_builds_no_face(fn, monkeypatch)
+
 
 def test_minimality_of_known_functions():
     assert minimality_test(gmic())

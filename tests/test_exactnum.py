@@ -276,6 +276,30 @@ def test_hash_of_denominators_without_an_inverse():
         assert hash(QNum(v)) == hash(v)
 
 
+MODULUS = sys.hash_info.modulus  # 2**61 - 1 on 64-bit builds
+
+denominators = st.one_of(
+    st.integers(2, 10**4), st.integers(10**18, 10**40),
+    st.builds(lambda k: k * MODULUS, st.integers(1, 10**6)))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.integers(-10**30, 10**30), denominators)
+def test_rational_hash_is_the_fraction_hash(p, d):
+    x = Fraction(p, d)
+    for v in (x, -x, x + 1, 1 / x if p else x):
+        assert hash(QNum(v)) == hash(v)
+        assert hash(QNum(v)) == hash(QNum(v))  # a second, cached, hash
+    # a dict with QNum, Fraction and int keys finds each entry by any of
+    # the three types
+    values = [x, Fraction(p + 1, d), Fraction(p)]
+    mixed = {QNum(x): "qnum", Fraction(p + 1, d): "fraction", p: "int"}
+    for v in values:
+        assert mixed[QNum(v)] == mixed[v]
+        if v.denominator == 1:
+            assert mixed[int(v)] == mixed[v]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(qnums, wide_qnums, nearly_cancelling(max_k=30)), qnums)
 def test_floor_and_order_match_sympy(x, y):

@@ -1,13 +1,18 @@
 """Exact linear systems and the two step-size constants."""
 
+import gc
 import hashlib
+import importlib.util
+import os
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupcut.exactnum import QNum
-from groupcut.pwl import PwlFunction
+from groupcut.pwl import BreakpointRow, PwlFunction
 from groupcut.additivity import ADDITIVE, additive_face_report, minimality_test
 from groupcut.covering import components as covering_components
 from groupcut.perturbation import (
@@ -19,6 +24,7 @@ from groupcut.verify import kzh_selected_faces
 
 from helpers import (
     grid_pairs, midpoint_pair, random_gap_instance, gap_instance_holds,
+    reference_rank, retained,
 )
 
 Q = lambda *a: QNum(Fraction(*a))
@@ -74,6 +80,66 @@ def test_drop_row():
     smaller = sy.drop_row(1)
     assert smaller.n_rows == 2 and smaller.rank == 2
     assert [label for label, _ in smaller.rows] == ["r1", "r3"]
+
+
+def test_drop_row_refuses_an_index_outside_the_rows():
+    sy = _toy_system()
+    for i in (-1, -4, 3, 10):
+        with pytest.raises(IndexError, match=f"no row {i} in a system of 3"):
+            sy.drop_row(i)
+    assert [label for label, _ in sy.drop_row(0).rows] == ["r2", "r3"]
+    assert [label for label, _ in sy.drop_row(2).rows] == ["r1", "r2"]
+
+
+def test_a_row_may_name_only_variables():
+    # a row of its own, found when the system is made, before matrix()
+    # or rank could read it
+    with pytest.raises(ValueError,
+                       match="row 'r2' names b, not among the variables"):
+        LinearSystem(["a"], [("r1", {"a": Q(1)}),
+                             ("r2", {"a": Q(1), "b": Q(2)})])
+    # a mapping that rows share is checked once, and named by its first row
+    shared = MappingProxyType({"c": Q(1), "d": Q(1)})
+    with pytest.raises(ValueError,
+                       match="row 'p' names c, d, not among the variables"):
+        LinearSystem(["a", "b"], [("o", {"a": Q(1)}), ("p", shared),
+                                  ("q", shared)])
+
+
+# entries of Q(sqrt2) with many zeros and small parts, so that rows cancel
+_entries = st.builds(QNum, st.sampled_from([0, 0, 0, 1, -1, 2, H]),
+                     st.sampled_from([0, 0, 1, -1, Fraction(1, 3)]))
+
+
+@st.composite
+def _systems(draw):
+    """Tall, wide and square systems with rows that repeat one mapping,
+    rows equal to another, zero rows and rows that combine two others."""
+    n_vars = draw(st.integers(0, 6))
+    names = [f"x{k}" for k in range(n_vars)]
+    rows = [{n: c for n, c in zip(names, entries) if c}
+            for entries in draw(st.lists(
+                st.lists(_entries, min_size=n_vars, max_size=n_vars),
+                max_size=8))]
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        k = draw(_entries)
+        kind = draw(st.sampled_from(["shared", "equal", "zero", "sum"]))
+        rows.append(a if kind == "shared" else dict(a) if kind == "equal"
+                    else {} if kind == "zero" else
+                    {n: c for n in names
+                     if (c := a.get(n, QNum(0)) + k * b.get(n, QNum(0)))})
+    rows = draw(st.permutations(rows))
+    return LinearSystem(names, [(f"r{i}", row) for i, row in enumerate(rows)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_systems())
+def test_sparse_rank_is_the_dense_rank(sy):
+    matrix = sy.matrix()
+    assert sy.rank == reference_rank(matrix)
+    assert drop_one_ranks(sy) == [reference_rank(matrix[:i] + matrix[i + 1:])
+                                  for i in range(sy.n_rows)]
 
 
 def test_rank_with_irrational_coefficients():
@@ -252,6 +318,48 @@ def test_systems_are_pinned(name, eliminate):
     assert sy.n_rows == n_rows
     text = _system_text(sy)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+GRIDGEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench", "gridgen.py")
+
+
+def _random_grid_two_slope_systems(seed: int) -> list:
+    """(system, rank) of each two-slope function of a random-grid pass, as
+    the benchmark builds and keeps them."""
+    spec = importlib.util.spec_from_file_location("bench_gridgen", GRIDGEN)
+    gridgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gridgen)
+    out = []
+    for g in gridgen.batch(seed)[0]:
+        if g.family in ("gmic", "gmic_k"):
+            fn = PwlFunction([BreakpointRow.of(*r) for r in g.rows], g.f)
+            report = additive_face_report(fn)
+            selected = [(c.face, c.face.vertices[0]) for c in report.faces
+                        if c.status == ADDITIVE]
+            system = build_system(fn, (), selected)
+            out.append((system, system.rank))
+    return out
+
+
+# the seed-1 systems that a random-grid pass keeps, measured at 79,720 bytes
+# (sys.getsizeof of every object reachable from the list); one mapping per
+# row took 115,976
+RANDOM_GRID_SYSTEMS_BYTES = 79_720
+
+
+def test_equal_rows_share_one_read_only_mapping():
+    ranks = _random_grid_two_slope_systems(1)
+    rows = [coeffs for system, _ in ranks for _, coeffs in system.rows]
+    assert (len(rows), len({id(c) for c in rows})) == (410, 56)
+    # within a system, rows are equal exactly when they share a mapping
+    assert sum(len({tuple(sorted(c.items())) for _, c in system.rows})
+               for system, _ in ranks) == 56
+    assert all(rank == system.n_vars for system, rank in ranks)
+    with pytest.raises(TypeError):
+        rows[0]["s0"] = QNum(0)
+    gc.collect()
+    assert retained(ranks)[0] < RANDOM_GRID_SYSTEMS_BYTES * 1.05
 
 
 def test_build_system_rejects_a_point_that_is_not_a_vertex():
