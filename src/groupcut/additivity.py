@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import compress, product
-from operator import itemgetter
+from typing import NamedTuple
 
 from .complex2d import Complex2D, Face2D, n_f
 from .exactnum import QNum
@@ -79,7 +79,7 @@ class SlackRecord:
     sides: tuple[int, int, int]
 
 
-class FaceClassification(tuple):
+class FaceClassification(NamedTuple):
     """(face, slack_sides, status) of one face.
 
     ``slack_sides`` is slack_0, sides_0, slack_1, sides_1, ...: vertex i
@@ -87,14 +87,9 @@ class FaceClassification(tuple):
     ``status`` is ADDITIVE, LIMIT_ADDITIVE or NON_ADDITIVE.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, face: Face2D, slack_sides: tuple, status: str):
-        return tuple.__new__(cls, (face, slack_sides, status))
-
-    face = property(itemgetter(0))
-    slack_sides = property(itemgetter(1))
-    status = property(itemgetter(2))
+    face: Face2D
+    slack_sides: tuple
+    status: str
 
     @property
     def slacks(self) -> tuple[SlackRecord, ...]:
@@ -396,9 +391,6 @@ class EContainmentResult:
     relation: str  # equal | strict_subset | strict_superset | incomparable
     witness_only_in_first: Face2D | None = None
     witness_only_in_second: Face2D | None = None
-
-    def __str__(self):
-        return self.relation
 
 
 def e_containment(fn1: PwlFunction, fn2: PwlFunction) -> EContainmentResult:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .additivity import minimality_test
 from .exactnum import QNum, Rat, parse_qnum
 from .pwl import BreakpointRow, PwlFunction
 
@@ -62,7 +63,6 @@ def psi_function() -> PwlFunction:
     # shape checks the construction is known by
     _check(fn.eval(Fraction(1, 8)) == Fraction(1, 4), "psi(1/8) is not 1/4")
     _check(fn.slopes[0] == 6, "psi does not start with slope 6")
-    from .additivity import minimality_test
     _check(bool(minimality_test(fn)), "psi data failed the minimality check")
     return fn
 
@@ -75,7 +75,6 @@ def psi_prime_function() -> PwlFunction:
     psi = psi_function()
     x = Fraction(3, 4)
     _check(fn.eval(x) == psi.eval(x), "psi_prime(3/4) is not psi(3/4)")
-    from .additivity import minimality_test
     _check(bool(minimality_test(fn)), "psi_prime failed the minimality check")
     return fn
 

@@ -24,7 +24,7 @@ from .pwl import SIDE_NAMES, PwlFunction, load as load_pwl_file, to_text
 from . import verify as verify_mod
 
 
-class _InputError(Exception):
+class _InputError(ValueError):
     pass
 
 
@@ -282,9 +282,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except _InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -36,12 +36,6 @@ class Move:
     dst: Span
     face: Face2D
 
-    def __str__(self):
-        a, b = self.src
-        c, d = self.dst
-        return (f"{self.kind}[{self.param}] "
-                f"({a}, {b}) <-> ({c}, {d})")
-
 
 @dataclass
 class CoveringResult:

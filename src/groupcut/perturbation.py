@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
@@ -29,8 +30,8 @@ class LinearSystem:
     """Rows of exact linear equations ``sum coef*var = 0``.
 
     A row is (label, coefficients), the coefficients a mapping from
-    variable names to QNums.  Rows that share one mapping, as the equal
-    rows of ``build_system`` do, are eliminated once.
+    variable names to QNums, ints or Fractions.  Rows that share one
+    mapping, as the equal rows of ``build_system`` do, are eliminated once.
     """
 
     def __init__(self, variables, rows):
@@ -45,6 +46,11 @@ class LinearSystem:
                 raise ValueError(f"row {label!r} names "
                                  f"{', '.join(sorted(map(str, unknown)))}, "
                                  f"not among the variables")
+            bad = [c for c in coeffs.values()
+                   if not isinstance(c, (int, Fraction, QNum))]
+            if bad:
+                raise TypeError(f"row {label!r} has the coefficient "
+                                f"{bad[0]!r}, not an int, Fraction or QNum")
 
     @property
     def n_vars(self) -> int:
@@ -81,7 +87,7 @@ class LinearSystem:
                 factor = row.pop(col)
                 pivot = pivots.get(col)
                 if pivot is None:
-                    inv = 1 / factor
+                    inv = 1 / QNum.of(factor)  # exact for an int too
                     pivots[col] = {j: a * inv for j, a in row.items()}
                     break
                 for j, a in pivot.items():

@@ -44,7 +44,12 @@ class PwlFunction:
     def __init__(self, rows: Iterable[BreakpointRow], f: QNumLike,
                  name: str = "",
                  special_intervals: Sequence[tuple[QNumLike, QNumLike]] = ()):
-        rows = tuple(rows)
+        # a row of QNums is kept as it is; any other entry is coerced, so
+        # that a float fails here rather than in the first evaluation
+        rows = tuple(r if type(r.x) is type(r.left) is type(r.value)
+                     is type(r.right) is QNum
+                     else BreakpointRow.of(r.x, r.left, r.value, r.right)
+                     for r in rows)
         if not rows:
             raise ValueError("need at least one breakpoint row")
         if rows[0].x != 0:
@@ -62,6 +67,9 @@ class PwlFunction:
         for lo, hi in si:
             if not lo < hi:
                 raise ValueError("special interval endpoints out of order")
+            if not (0 <= lo and hi <= 1):
+                raise ValueError(f"special interval ({lo}, {hi}) is not "
+                                 f"inside [0, 1]")
         self.rows = rows
         self.f = f
         self.name = name

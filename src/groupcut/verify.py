@@ -75,12 +75,14 @@ def _suite(claim: str):
     return decorate
 
 
-def mutate_value(fn: PwlFunction, row: int,
-                 delta=Fraction(1, 10**6)) -> PwlFunction:
-    """Copy of fn with one table value nudged; used as a negative control."""
+MUTATION = QNum(Fraction(1, 10**6))  # the nudge of a mutation control
+
+
+def mutate_value(fn: PwlFunction, row: int) -> PwlFunction:
+    """Copy of fn with one value raised by MUTATION; a negative control."""
     rows = list(fn.rows)
     r = rows[row]
-    rows[row] = BreakpointRow(r.x, r.left, r.value + QNum.of(delta), r.right)
+    rows[row] = BreakpointRow(r.x, r.left, r.value + MUTATION, r.right)
     return PwlFunction(rows, fn.f, name=fn.name + "_mutated",
                        special_intervals=fn.special_intervals)
 
@@ -162,10 +164,11 @@ def verify_kzh_claim_slacks(stats, fn: PwlFunction | None = None):
     stats.update(faces_nf_1=0, faces_nf_2=0, additive_nf_positive=0,
                  tight_vertices=0)
 
-    for cls, nf in zip(report.faces, report.n_f):
-        face = cls.face
+    for n, nf in enumerate(report.n_f):
         if nf == 0:
             continue
+        cls = report.faces[n]
+        face = cls.face
         if nf >= 3:
             raise Refuted(f"{face.label()} has n_F = {nf}")
         stats[f"faces_nf_{nf}"] += 1
@@ -278,12 +281,10 @@ def verify_kzh_perturbation_rank(stats, fn: PwlFunction | None = None):
     result = covering_components(report)
     stats["components"] = len(result.components)
     stats["uncovered"] = [(str(a), str(b)) for a, b in result.uncovered]
-    expected_uncovered = [(QNum.of(a), QNum.of(b))
-                          for a, b in fn.special_intervals]
     if len(result.components) != 2:
         raise Refuted(f"{len(result.components)} covering components "
                       f"instead of 2")
-    if list(result.uncovered) != expected_uncovered:
+    if list(result.uncovered) != list(fn.special_intervals):
         raise Refuted(f"uncovered {stats['uncovered']} is not the special "
                       f"intervals")
 

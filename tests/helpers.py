@@ -40,25 +40,25 @@ def midpoint_pair():
 GRID = 12
 
 
-def _grid_q(k: int) -> QNum:
-    return QNum(Fraction(k % GRID, GRID))
+def _grid_q(k: int, n: int = GRID) -> QNum:
+    return QNum(Fraction(k % n, n))
 
 
-def random_pwl(rng: random.Random) -> PwlFunction:
-    """A random function with breakpoints on the 1/12 grid, f a breakpoint.
+def random_pwl(rng: random.Random, n: int = GRID) -> PwlFunction:
+    """A random function with breakpoints on the 1/n grid, f a breakpoint.
 
     Mixes plainly random tables, continuous interpolations, minimal
     two-slope functions, and near-minimal functions with one value nudged
     by 1e-6, so the minimality oracle sees both outcomes and near-misses.
     """
     style = rng.randrange(4)
-    ks = sorted(rng.sample(range(1, GRID), rng.randint(1, 5)))
-    bks = [QNum(0)] + [_grid_q(k) for k in ks]
+    ks = sorted(rng.sample(range(1, n), rng.randint(1, min(5, n - 1))))
+    bks = [QNum(0)] + [_grid_q(k, n) for k in ks]
     fk = rng.choice(ks)
-    f = _grid_q(fk)
+    f = _grid_q(fk, n)
 
     def rv() -> QNum:
-        return QNum(Fraction(rng.randint(0, GRID), GRID))
+        return QNum(Fraction(rng.randint(0, n), n))
 
     if style == 0:  # arbitrary table, usually far from minimal
         rows = []
@@ -127,10 +127,10 @@ DIRECTIONS = (
 )
 
 
-def sampling_minimality_oracle(fn: PwlFunction) -> bool:
+def sampling_minimality_oracle(fn: PwlFunction, n: int = GRID) -> bool:
     """Grid-plus-limits minimality check, independent of the 2-D complex.
 
-    Complete for functions whose breakpoints (and f) lie on the 1/12
+    Complete for functions whose breakpoints (and f) lie on the 1/n
     grid: every face of the additivity complex then has its vertices on
     the grid, and each vertex limit is one of the 13 approach profiles.
     """
@@ -141,7 +141,7 @@ def sampling_minimality_oracle(fn: PwlFunction) -> bool:
             if not (0 <= v <= 1):
                 return False
 
-    grid = [_grid_q(k) for k in range(GRID)]
+    grid = [_grid_q(k, n) for k in range(n)]
     for x in grid:
         # symmetry, pointwise and for matched one-sided limits
         y = (fn.f - x).mod1()
@@ -397,10 +397,9 @@ def mutation_control_reports():
     from groupcut.verify import (
         mutate_value, verify_kzh_claim_slacks, verify_kzh_perturbation_rank,
         verify_lifted, verify_psi_separation)
-    delta = Fraction(1, 10**6)
-    bad6 = mutate_value(kzh_function(), 6, delta)
-    return (verify_psi_separation(psi=mutate_value(psi_function(), 2, delta)),
-            verify_kzh_claim_slacks(mutate_value(kzh_function(), 17, delta)),
+    bad6 = mutate_value(kzh_function(), 6)
+    return (verify_psi_separation(psi=mutate_value(psi_function(), 2)),
+            verify_kzh_claim_slacks(mutate_value(kzh_function(), 17)),
             verify_kzh_perturbation_rank(bad6),
             verify_lifted(fn=bad6))
 

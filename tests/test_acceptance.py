@@ -328,6 +328,21 @@ def test_criterion_09_oracle_agreement():
             failures)
 
 
+def test_oracle_agreement_on_random_grids():
+    """Criterion 9 on 1/N grids for random 5 <= N <= 24, not only 1/12;
+    the oracle samples the same grid, where it is complete."""
+    rng = random.Random(2026)
+    verdicts = []
+    for i in range(100):
+        n = rng.randint(5, 24)
+        fn = random_pwl(rng, n)
+        got = bool(minimality_test(fn))
+        assert got == sampling_minimality_oracle(fn, n), \
+            f"instance {i}, N = {n}: test={got} fn={to_text(fn)!r}"
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
 def test_criterion_10_negative_controls():
     failures = []
     psi_rep, slack_rep, rank_rep, lifted_rep = mutation_control_reports()

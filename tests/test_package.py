@@ -115,6 +115,8 @@ _PUBLIC_WITHOUT_A_CALLER = {
     "make_face",  # the tests' by-value reference; bench/tracing.py rebinds it
     "face_of_point",  # documented API (README)
     "continuous_from_values",  # documented API (README)
+    "delta",  # the paper's Delta pi(x, y); reference_lipschitz_epsilon in
+    # tests/helpers.py and tests/test_pwl.py read it
     "triple_key",  # documented API (README)
     "classification_digest",  # bench/worker.py reads it
     "is_rational",  # bench/worker.py reads it
@@ -125,16 +127,24 @@ _PUBLIC_WITHOUT_A_CALLER = {
 
 def _unread_public_names(trees) -> list[str]:
     """Public functions, classes, methods and properties of the trees that
-    are not in ``__all__`` and that no ``Name`` or ``Attribute`` reads."""
+    are not in ``__all__`` and that nothing reads.  A class member is read
+    only by an ``Attribute`` load, so that a local variable of the same
+    name does not hide it; any other definition by a ``Name`` load too."""
     nodes = [node for tree in trees for node in ast.walk(tree)]
-    defined = {node.name for node in nodes
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.ClassDef))
-               and not node.name.startswith("_")}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for node in nodes if isinstance(node, (ast.Name, ast.Attribute))
-            and isinstance(node.ctx, ast.Load)}
-    return sorted(defined - read - set(groupcut.__all__))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    members = {id(node): node.name for cls in nodes
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, defs)}
+    others = {node.name for node in nodes
+              if isinstance(node, defs) and id(node) not in members}
+    loads = [node for node in nodes
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and isinstance(node.ctx, ast.Load)]
+    attrs = {node.attr for node in loads if isinstance(node, ast.Attribute)}
+    names = attrs | {node.id for node in loads if isinstance(node, ast.Name)}
+    unread = set(members.values()) - attrs | others - names
+    return sorted(name for name in unread - set(groupcut.__all__)
+                  if not name.startswith("_"))
 
 
 def test_every_public_name_has_a_caller():
@@ -146,6 +156,10 @@ def test_every_public_name_has_a_caller():
     # the guard sees an unread name where there is one
     extra = ast.parse("def in_group_t(q):\n    return reduced_pair(q)\n")
     assert "in_group_t" in _unread_public_names(trees + [extra])
+    # and a method that only a local variable's name matches
+    extra = ast.parse("class C:\n    def gap(self):\n        return 0\n"
+                      "def f():\n    gap = 1\n    return gap\n")
+    assert "gap" in _unread_public_names(trees + [extra])
 
 
 def _unused_imports(tree) -> list[str]:

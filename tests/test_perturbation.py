@@ -106,6 +106,25 @@ def test_a_row_may_name_only_variables():
                                   ("q", shared)])
 
 
+def test_a_coefficient_is_an_int_a_fraction_or_a_qnum():
+    # r2 = 3 * r1, but 3 * 0.1 != 0.3 in floats, so their rank would be 2
+    with pytest.raises(TypeError, match="row 'r1' has the coefficient 0.1"):
+        LinearSystem(["a", "b"], [("r1", {"a": 0.1, "b": 0.3}),
+                                  ("r2", {"a": 0.3, "b": 0.9})])
+    # a string is refused when the system is made, not inside rank
+    shared = {"a": Q(1), "b": "1/2"}
+    with pytest.raises(TypeError, match="row 'p' has the coefficient '1/2'"):
+        LinearSystem(["a", "b"], [("o", {"a": Q(1)}), ("p", shared),
+                                  ("q", shared)])
+    # int and Fraction rows get their exact rank: r2 = 77 * r1 cancels
+    # only with an exact pivot 1/93
+    assert LinearSystem(["a", "b"], [("r1", {"a": 93, "b": 30}),
+                                     ("r2", {"a": 7161, "b": 2310})]).rank == 1
+    assert LinearSystem(["a", "b", "c"], [
+        ("r1", {"a": Fraction(1, 3), "b": 1}), ("r2", {"a": 1, "b": 3}),
+        ("r3", {"b": Fraction(2, 7), "c": Q(0, 1)})]).rank == 2
+
+
 # entries of Q(sqrt2) with many zeros and small parts, so that rows cancel
 _entries = st.builds(QNum, st.sampled_from([0, 0, 0, 1, -1, 2, H]),
                      st.sampled_from([0, 0, 1, -1, Fraction(1, 3)]))

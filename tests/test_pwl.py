@@ -191,6 +191,34 @@ def test_special_intervals_must_align():
     assert tagged.special_intervals == ((QNum(0), QNum(Fraction(4, 5))),)
 
 
+def test_special_intervals_lie_in_the_unit_interval():
+    fn = gmic()
+    for lo, hi in ((-1, 2), (-H, H), (H, 2)):
+        with pytest.raises(ValueError, match="is not inside"):
+            PwlFunction(fn.rows, fn.f, special_intervals=((lo, hi),))
+    # from a file header too; n_F of the origin's point face against
+    # (-1, 2) would be 3
+    text = to_text(fn).replace("x | left", "special_intervals: (-1, 2)\n"
+                                           "x | left")
+    with pytest.raises(ValueError, match=r"special interval \(-1, 2\) is "
+                                         r"not inside \[0, 1\]"):
+        parse_text(text)
+
+
+def test_table_entries_are_coerced_when_the_function_is_made():
+    # a float fails here, not at the first evaluation
+    with pytest.raises(TypeError, match="QNum takes no float"):
+        PwlFunction([BreakpointRow(0, 0, 0, 0), BreakpointRow(0.5, 1, 1, 1)],
+                    H)
+    fn = PwlFunction([BreakpointRow(0, 0, 0, 0), BreakpointRow(H, 1, "1", 1)],
+                     H)
+    assert fn.rows == gmic(H).rows
+    assert fn.eval(Fraction(1, 4)) == H
+    # a row of QNums is kept as it is
+    kept = gmic()
+    assert PwlFunction(kept.rows, kept.f).rows[1] is kept.rows[1]
+
+
 def test_wraparound_piece_uses_row_zero_left():
     fn = step()
     # the final piece is flat at 1/2 and ends at rows[0].left
