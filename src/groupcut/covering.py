@@ -10,9 +10,10 @@ value negation cancel.
 
 The covering pass marks projection interiors as covered, merges strictly
 overlapping covered sub-intervals inside each piece, and propagates full
-intervals across moves until a fixed point.  Pieces are then grouped into
-slope components with a union-find over faces and moves.  Pieces never
-fully covered are reported uncovered.
+intervals across moves until a fixed point.  Each fully covered piece is
+then labelled with the least piece that faces and moves connect it to, and
+the pieces of one label form a slope component.  Pieces never fully covered
+are reported uncovered.
 """
 
 from __future__ import annotations
@@ -128,21 +129,6 @@ class _PieceCover:
         return self.parts == [(self.lo, self.hi)]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def components(report: AdditivityReport) -> CoveringResult:
     """Propagate covering to a fixed point and group pieces by slope.
 
@@ -176,22 +162,24 @@ def _build(report: AdditivityReport) -> CoveringResult:
                 changed = True
 
     full = [c.full for c in covers]
-    uf = _UnionFind(len(piece_spans))
-
-    def connect(i: int, j: int):
-        if full[i] and full[j]:
-            uf.union(i, j)
-
-    for i, j, k in links:
-        connect(i, j)
-        connect(i, k)
-    for i, _, j, _ in arrows[::2]:
-        connect(i, j)
+    # the full pieces joined by a 2-D face's projections or by a move; a
+    # partly covered piece does not carry one slope
+    joined = [(i, j) for i, j, _ in links] + [(i, k) for i, _, k in links]
+    joined += [(i, j) for i, _, j, _ in arrows[::2]]
+    pairs = [(i, j) for i, j in dict.fromkeys(joined) if full[i] and full[j]]
+    label = list(range(len(covers)))  # each piece's least connected piece
+    changed = True
+    while changed:
+        changed = False
+        for i, j in pairs:
+            if label[i] != label[j]:
+                label[i] = label[j] = min(label[i], label[j])
+                changed = True
 
     groups: dict[int, list[int]] = {}
     for i, ok in enumerate(full):
         if ok:
-            groups.setdefault(uf.find(i), []).append(i)
-    comps = [[piece_spans[i] for i in groups[root]] for root in sorted(groups)]
+            groups.setdefault(label[i], []).append(i)
+    comps = [[piece_spans[i] for i in groups[k]] for k in sorted(groups)]
     uncov = [piece_spans[i] for i, ok in enumerate(full) if not ok]
     return CoveringResult(comps, uncov, [mv for mv, _, _ in moves])

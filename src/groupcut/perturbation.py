@@ -131,18 +131,16 @@ def drop_one_ranks(system: LinearSystem) -> list[int]:
 class _Parametrization:
     def __init__(self, fn: PwlFunction, special_intervals, eliminate: bool):
         self.fn = fn
-        self.bks = list(fn.breakpoints)
-        self.n = len(self.bks)
-        self._index = {x: i for i, x in enumerate(self.bks)}
+        self.n = len(fn.breakpoints)
 
-        piece = {fn.piece_bounds(j): j for j in range(self.n)}
         self.special_pieces = set()
         for lo, hi in special_intervals:
             lo, hi = QNum.of(lo), QNum.of(hi)
-            if (lo, hi) not in piece:
+            kind, j = fn.locate(lo)
+            if kind != "breakpoint" or fn.piece_bounds(j) != (lo, hi):
                 raise ValueError(
                     f"special interval ({lo}, {hi}) is not a single piece")
-            self.special_pieces.add(piece[lo, hi])
+            self.special_pieces.add(j)
 
         # one slope variable per covering component, in component order
         comps = covering_components(additive_face_report(fn)).components
@@ -161,19 +159,26 @@ class _Parametrization:
         self.mids = [(lo + hi) / 2
                      for lo, hi in map(fn.piece_bounds, range(self.n))]
 
-        mirror_piece = [self._piece_mirror(j) for j in range(self.n)]
+        mirror_bk = []
+        for m in ((fn.f - x).mod1() for x in fn.breakpoints):
+            kind, k = fn.locate(m)
+            if kind != "breakpoint":
+                raise ValueError(f"mirror point {m} is not a breakpoint; "
+                                 f"the breakpoint set is not symmetric in f")
+            mirror_bk.append(k)
+        # x -> f - x reverses the cyclic order of a symmetric breakpoint
+        # set, so piece j's mirror starts at the mirror of its upper end
+        mirror_piece = mirror_bk[1:] + mirror_bk[:1]
         for j in self.special_pieces:
             if mirror_piece[j] not in self.special_pieces:
                 raise ValueError("special intervals are not symmetric")
         # per kind ("v" or "m"), each variable's mirror through f, or None
         # where symmetry forces the variable to zero: the values at 0 and f,
         # and a value or midpoint that is its own mirror
-        mirror_bk = [self._breakpoint_index((fn.f - x).mod1())
-                     for x in self.bks]
         self.mirror = {
             "v": {
                 i: None if x == 0 or x == fn.f or k == i else k
-                for i, (x, k) in enumerate(zip(self.bks, mirror_bk))},
+                for i, (x, k) in enumerate(zip(fn.breakpoints, mirror_bk))},
             "m": {j: None if k == j else k
                   for j, k in enumerate(mirror_piece)
                   if j not in self.special_pieces},
@@ -194,21 +199,6 @@ class _Parametrization:
                     variables.append(f"{kind}{i}")
                     sub[i] = {variables[-1]: QNum(1)}
         self.variables = tuple(variables)
-
-    def _breakpoint_index(self, x: QNum) -> int:
-        i = self._index.get(x)
-        if i is None:
-            raise ValueError(f"mirror point {x} is not a breakpoint; "
-                             f"the breakpoint set is not symmetric in f")
-        return i
-
-    def _piece_mirror(self, j: int) -> int:
-        f = self.fn.f
-        lo, hi = self.fn.piece_bounds(j)
-        k = self._breakpoint_index((f - hi).mod1())
-        if (f - lo).mod1() not in (self.fn.piece_bounds(k)[1], QNum(0)):
-            raise ValueError(f"piece {j} has no mirror piece")
-        return k
 
     def symmetry_rows(self) -> list[tuple[str, dict[str, QNum]]]:
         """Explicit symmetry equations, used when nothing was substituted:

@@ -70,6 +70,11 @@ class PwlFunction:
             if not (0 <= lo and hi <= 1):
                 raise ValueError(f"special interval ({lo}, {hi}) is not "
                                  f"inside [0, 1]")
+        spans = sorted(si)  # open intervals may share an endpoint only
+        for (lo, hi), (lo2, hi2) in zip(spans, spans[1:]):
+            if lo2 < hi:
+                raise ValueError(f"special intervals ({lo}, {hi}) and "
+                                 f"({lo2}, {hi2}) overlap")
         self.rows = rows
         self.f = f
         self.name = name
@@ -250,6 +255,7 @@ def parse_text(text: str) -> PwlFunction:
     specials: list[tuple[QNum, QNum]] = []
     rows: list[BreakpointRow] = []
     in_rows = False
+    seen = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -261,6 +267,9 @@ def parse_text(text: str) -> PwlFunction:
             key, _, val = line.partition(":")
             key = key.strip()
             val = val.strip()
+            if key in seen:
+                raise ValueError(f"header field {key!r} is given twice")
+            seen.add(key)
             if key == "name":
                 name = val
             elif key == "f":

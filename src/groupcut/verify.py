@@ -198,9 +198,10 @@ def verify_kzh_claim_slacks(stats, fn: PwlFunction | None = None):
 
 # -- suite 3: the finite-dimensional perturbation system ----------------------
 
-# Selected additive faces, one vertex each.  Intervals are encoded by
-# breakpoint index; an index k >= 40 means breakpoint k-40 shifted by one
-# period.  The vertex builder receives the extended coordinate list.
+# Selected additive faces, one vertex each.  An interval is given by indices
+# into the complex's points_k: index 40 is the point 1 and 40 + i breakpoint
+# i shifted by one period, so (k,) is the cell 2k and (k, k + 1) the cell
+# 2k + 1.  The vertex builder receives points_k.
 _KZH_SELECTED = [
     (((0, 1), (6,), (8,)), lambda x: (x[8] - x[6], x[6])),
     (((0, 1), (6,), (9, 10)), lambda x: (x[9] - x[6], x[6])),
@@ -244,29 +245,15 @@ _KZH_SELECTED = [
 ]
 
 
-def _extended_coords(fn: PwlFunction) -> list[QNum]:
-    # index i < 40 is breakpoint i; index 40 + i is breakpoint i shifted by
-    # one period, so index 40 itself is the point 1
-    return list(fn.breakpoints) + [x + 1 for x in fn.breakpoints]
-
-
-def _interval_from_spec(coords, spec) -> Interval:
-    return Interval(coords[spec[0]], coords[spec[-1]])
-
-
 def kzh_selected_faces(fn: PwlFunction):
     """The tabulated (face, vertex) pairs driving the 39-variable system."""
     if len(fn.breakpoints) != 40:
         raise ValueError(f"{len(fn.breakpoints)} breakpoints, not kzh's 40")
     cx = additive_face_report(fn).complex
-    coords = _extended_coords(fn)
     out = []
-    for (ispec, jspec, kspec), vertex_fn in _KZH_SELECTED:
-        face = cx.find_face(_interval_from_spec(coords, ispec),
-                            _interval_from_spec(coords, jspec),
-                            _interval_from_spec(coords, kspec))
-        u, v = vertex_fn(coords)
-        out.append((face, (QNum.of(u), QNum.of(v))))
+    for specs, vertex in _KZH_SELECTED:
+        cells = (2 * spec[0] + len(spec) - 1 for spec in specs)
+        out.append((cx.faces[cx._position(*cells)], vertex(cx.points_k)))
     return out
 
 

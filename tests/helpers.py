@@ -494,11 +494,12 @@ def reference_edge_connections(report) -> list:
 
 
 def reference_covering(report):
-    """``covering.components`` on Face2D values: the same _PieceCover and
-    _UnionFind, with every span placed in its piece by bisection."""
+    """``covering.components`` on Face2D values: the same _PieceCover, with
+    every span placed in its piece by bisection and the full pieces joined
+    by a union-find of their own."""
     import bisect
     from groupcut.additivity import ADDITIVE
-    from groupcut.covering import CoveringResult, _PieceCover, _UnionFind
+    from groupcut.covering import CoveringResult, _PieceCover
     piece_faces = report.complex.faces_x[1::2]
     piece_spans = [(p.a, p.b) for p in piece_faces]
     los = [p.a for p in piece_faces]
@@ -526,11 +527,17 @@ def reference_covering(report):
                 covers[j].add(*dst)
                 changed = True
     full = [c.full for c in covers]
-    uf = _UnionFind(len(piece_spans))
+    parent = list(range(len(piece_spans)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
 
     def connect(i, j):
         if full[i] and full[j]:
-            uf.union(i, j)
+            ri, rj = find(i), find(j)
+            parent[max(ri, rj)] = min(ri, rj)
 
     for fc in report.faces:
         if fc.status != ADDITIVE or fc.face.dim != 2:
@@ -544,10 +551,32 @@ def reference_covering(report):
     groups = {}
     for i, ok in enumerate(full):
         if ok:
-            groups.setdefault(uf.find(i), []).append(i)
+            groups.setdefault(find(i), []).append(i)
     comps = [[piece_spans[i] for i in groups[root]] for root in sorted(groups)]
     uncov = [piece_spans[i] for i, ok in enumerate(full) if not ok]
     return CoveringResult(comps, uncov, moves)
+
+
+def reference_mirrors(fn, special_intervals) -> dict:
+    """The parametrization's mirror tables found by value: breakpoint x's
+    mirror is the breakpoint (f - x) mod 1, and the mirror of piece
+    (lo, hi) is the piece (f - hi, f - lo) mod 1.  A value or midpoint that
+    is forced to zero, or that is its own mirror, maps to None."""
+    f, bks = fn.f, list(fn.breakpoints)
+    pieces = [fn.piece_bounds(j) for j in range(len(bks))]
+    special = {pieces.index((QNum.of(lo), QNum.of(hi)))
+               for lo, hi in special_intervals}
+    v = {}
+    for i, x in enumerate(bks):
+        k = bks.index((f - x).mod1())
+        v[i] = None if x == 0 or x == f or k == i else k
+    m = {}
+    for j, (lo, hi) in enumerate(pieces):
+        if j not in special:
+            a = (f - hi).mod1()
+            k = pieces.index((a, a + (hi - lo)))
+            m[j] = None if k == j else k
+    return {"v": v, "m": m}
 
 
 def reference_e_containment(fn1, fn2):

@@ -223,6 +223,21 @@ def test_file_errors_are_input_errors(argv, message, tmp_path, capsys):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("line", ["f: 1/4", "special_intervals: (0, 1/4)"])
+def test_a_repeated_header_field_is_an_input_error(line, tmp_path, capsys):
+    path = tmp_path / "fn.txt"
+    path.write_text(to_text(PwlFunction(
+        gmic(Fraction(1, 2)).rows, Fraction(1, 2),
+        special_intervals=((0, Fraction(1, 4)),))
+    ).replace("x | left", f"{line}\nx | left"))
+    assert main(["minimality", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    field = line.partition(":")[0]
+    assert err.startswith("error: ") and f"'{field}' is given twice" in err
+
+
 def test_diagram_files(tmp_path, capsys):
     sp = tmp_path / "psi.svg"
     assert main(["diagram", "psi", "--out", str(sp)]) == 0

@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
+
 from groupcut.exactnum import QNum
 from groupcut.pwl import PwlFunction
 from groupcut.additivity import ADDITIVE, additive_face_report
-from groupcut.covering import components
+from groupcut.covering import _PieceCover, components
 from groupcut.catalog import kzh_function, psi_function
 
 Q = lambda *a: QNum(Fraction(*a))
@@ -85,3 +87,10 @@ def test_components_are_disjoint():
         for iv in comp:
             assert iv not in seen
             seen.add(iv)
+
+
+def test_a_piece_cover_refuses_an_empty_span():
+    cover = _PieceCover(Q(0), Q(1))
+    with pytest.raises(ValueError, match="not within"):
+        cover.add(Q(1, 2), Q(1, 2))
+    assert cover.parts == []

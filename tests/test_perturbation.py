@@ -16,15 +16,16 @@ from groupcut.pwl import BreakpointRow, PwlFunction
 from groupcut.additivity import ADDITIVE, additive_face_report, minimality_test
 from groupcut.covering import components as covering_components
 from groupcut.perturbation import (
-    EpsilonResult, LinearSystem, build_system,
+    EpsilonResult, LinearSystem, _Parametrization, build_system,
     drop_one_ranks, lipschitz_epsilon, scaling_epsilon, verify_effective,
 )
-from groupcut.catalog import kzh_function, lifted_function
+from groupcut.catalog import (kzh_function, lifted_function, psi_function,
+                              psi_prime_function)
 from groupcut.verify import kzh_selected_faces
 
 from helpers import (
-    grid_pairs, midpoint_pair, random_gap_instance, gap_instance_holds,
-    reference_rank, retained,
+    gmic, grid_pairs, midpoint_pair, random_gap_instance, gap_instance_holds,
+    reference_mirrors, reference_rank, retained,
 )
 
 Q = lambda *a: QNum(Fraction(*a))
@@ -230,6 +231,25 @@ def test_build_system_takes_the_last_piece_as_a_special_interval():
         build_system(fn, specials[1:], [])
     with pytest.raises(ValueError, match="not a single piece"):
         build_system(fn, ((H, 1),), [])
+
+
+def test_mirror_tables_match_a_by_value_reference():
+    kzh = kzh_function()
+    cases = [(kzh, kzh.special_intervals)]
+    for fn in [psi_function(), psi_prime_function(),
+               gmic(Fraction(3, 5), 2, Fraction(1, 5)),
+               gmic(Fraction(4, 9), 3, Fraction(1, 3))] + [
+                   pi0 for pi0, _, _ in grid_pairs(7, 8)]:
+        cases.append(
+            (fn, covering_components(additive_face_report(fn)).uncovered))
+    for fn, specials in cases:
+        assert (_Parametrization(fn, specials, True).mirror
+                == reference_mirrors(fn, specials)), fn
+    # the mirror of the breakpoint 1/3 through f = 1/2 is not a breakpoint
+    asymmetric = gmic(H).refine([Fraction(1, 3)])
+    with pytest.raises(ValueError, match="mirror point 1/6 is not a "
+                                         "breakpoint"):
+        _Parametrization(asymmetric, (), True)
 
 
 def _gj_forward_3_slope():

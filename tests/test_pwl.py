@@ -205,6 +205,32 @@ def test_special_intervals_lie_in_the_unit_interval():
         parse_text(text)
 
 
+def test_special_intervals_do_not_overlap():
+    fn = gmic()
+    for si in (((Fraction(1, 8), Fraction(3, 8)), (Fraction(1, 4), H)),
+               ((Fraction(1, 8), Fraction(3, 8)),) * 2,
+               ((0, 1), (Fraction(1, 4), H))):
+        with pytest.raises(ValueError, match="overlap"):
+            PwlFunction(fn.rows, fn.f, special_intervals=si)
+    # open intervals that share an endpoint are disjoint, in either order
+    si = ((Fraction(1, 4), H), (Fraction(1, 8), Fraction(1, 4)))
+    assert PwlFunction(fn.rows, fn.f, special_intervals=si
+                       ).special_intervals == tuple(
+                           (QNum(lo), QNum(hi)) for lo, hi in si)
+
+
+@pytest.mark.parametrize("line", ["name: other", "f: 1/4",
+                                  "special_intervals: (0, 1/4)"])
+def test_a_header_field_is_given_once(line):
+    text = to_text(PwlFunction(gmic().rows, H, name="g",
+                               special_intervals=((0, Fraction(1, 4)),)))
+    assert "special_intervals: (0, 1/4)" in text
+    field = line.partition(":")[0]
+    with pytest.raises(ValueError, match=f"header field '{field}' is given "
+                                         f"twice"):
+        parse_text(text.replace("x | left", f"{line}\nx | left"))
+
+
 def test_table_entries_are_coerced_when_the_function_is_made():
     # a float fails here, not at the first evaluation
     with pytest.raises(TypeError, match="QNum takes no float"):
