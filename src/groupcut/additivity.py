@@ -149,6 +149,10 @@ class _Classifications(Sequence):
         """Per face the index of its slack tuple, and the slack tuples."""
         return self._kind, self._slack_sides
 
+    def statuses(self) -> list[str]:
+        """The status of each slack tuple of ``kinds``."""
+        return self._status
+
     def first_negative(self) -> FaceClassification | None:
         """The first face with a negative vertex slack, or None; the shared
         slack tuples are searched first."""

@@ -349,6 +349,14 @@ class _FaceStore(Sequence):
         return (self._intervals, self._points, self._proj, self._starts,
                 self._verts)
 
+    def cells(self):
+        """Per face, in order, the positions (fi, fj, fk) of its I and J
+        in faces_x and of its K in faces_k."""
+        nx, nk = len(self._faces_x), len(self._faces_k)
+        for t in self._triples:
+            ij, k = divmod(t, nk)
+            yield (*divmod(ij, nx), k)
+
     def __len__(self) -> int:
         return len(self._triples)
 

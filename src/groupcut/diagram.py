@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache
+from itertools import repeat
 
 from .exactnum import QNum
 from .pwl import PwlFunction
@@ -19,7 +19,7 @@ from .complex2d import centroid, ccw_hull_order
 from .additivity import (ADDITIVE, LIMIT_ADDITIVE, AdditivityReport,
                          additive_face_report)
 
-SCHEMA = "groupcut-diagram/1"
+SCHEMA = "groupcut-diagram/2"
 
 _SIZE = 560.0
 _MARGIN = 44.0
@@ -183,44 +183,62 @@ def render_svg(fn, *, show_additive: bool = True,
     return "\n".join(out) + "\n"
 
 
-def _encode_faces(report: AdditivityReport) -> list[dict]:
-    """The face classification as JSON values, numbers as exact strings.
+def _encode(report: AdditivityReport, n_f) -> dict:
+    """The sidecar's tables and faces, written by position from the face
+    store and the classification kinds, with n_f the n_F of each face.
+    Each coordinate string is in ``numbers`` once, first the cells' ends
+    in cell order, then the points' in point order; each distinct (slack,
+    sides) record is one dict and each slack tuple one list, shared by all
+    faces of that kind."""
+    cx = report.complex
+    _, points, _, starts, verts = cx.faces.ids()
+    kind, slack_sides = report.faces.kinds()
+    numbers: list[str] = []
+    by_text: dict[str, int] = {}
+    by_id: dict[int, int] = {}  # id of a coordinate object -> its number
 
-    Each number, number pair (an interval or a vertex) and side triple is
-    one shared immutable value; json writes a tuple as an array.
-    """
-    text = lru_cache(maxsize=None)(str)
-    pairs: dict = {}
+    def number(q) -> int:
+        i = by_id.get(id(q))
+        if i is None:
+            s = str(q)
+            i = by_text.get(s)
+            if i is None:
+                i = by_text[s] = len(numbers)
+                numbers.append(s)
+            by_id[id(q)] = i
+        return i
 
-    def pair(key, a, b):
-        got = pairs.get(key)
-        if got is None:
-            got = pairs[key] = (text(a), text(b))
-        return got
+    cells = [(number(iv.a), number(iv.b)) for iv in cx.faces_k]
+    pts = [(number(x), number(y)) for x, y in points]
+    records: dict[tuple[int, int], dict] = {}
 
-    faces = []
-    for cls, nf in zip(report.faces, report.n_f):
-        face = cls.face
-        I, J, K = face.I, face.J, face.K
-        verts = [pair(v, *v) for v in face.vertices]
-        data = cls.slack_sides
-        faces.append({
-            "I": pair(I, I.a, I.b),
-            "J": pair(J, J.a, J.b),
-            "K": pair(K, K.a, K.b),
-            "dim": face.dim,
-            "status": cls.status,
-            "n_f": nf,
-            "vertices": verts,
-            "slacks": [{"vertex": v, "sides": data[2 * i + 1],
-                        "slack": text(data[2 * i])}
-                       for i, v in enumerate(verts)],
-        })
-    return faces
+    def record(slack, sides) -> dict:
+        rec = records.get((id(slack), id(sides)))
+        if rec is None:
+            rec = records[id(slack), id(sides)] = {"sides": sides,
+                                                  "slack": str(slack)}
+        return rec
+
+    slacks = [[record(data[i], data[i + 1]) for i in range(0, len(data), 2)]
+              for data in slack_sides]
+    status = report.faces.statuses()
+    faces = [{"cells": c, "vertices": verts[a:b].tolist(), "n_f": nf,
+              "status": status[k], "slacks": slacks[k]}
+             for c, a, b, nf, k in zip(cx.faces.cells(), starts,
+                                       starts[1:], n_f, kind)]
+    return {"numbers": numbers, "points": pts, "cells": cells,
+            "faces": faces}
 
 
 def render_sidecar(fn, report: AdditivityReport | None = None) -> dict:
-    """Exact JSON description of the function and its face classification."""
+    """Exact JSON description of the function and its face classification.
+
+    The faces refer by position to ``numbers`` (each exact coordinate
+    string once), ``points`` (vertices as number pairs) and ``cells`` (the
+    1-D faces over [0, 2] as number pairs; those over [0, 1] are their
+    prefix).  Faces of one kind share their ``slacks`` list, so the
+    returned dict is read-only: serialise it, or copy it before an edit.
+    """
     base, note = _resolve(fn)
     if report is None:
         report = additive_face_report(base)
@@ -234,7 +252,7 @@ def render_sidecar(fn, report: AdditivityReport | None = None) -> dict:
                      for r in base.rows],
             "special_intervals": [[str(a), str(b)] for a, b in specials],
         },
-        "faces": _encode_faces(report),
+        **_encode(report, report.n_f),
     }
     if note:
         data["note"] = note
@@ -245,20 +263,68 @@ def sidecar_to_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _at(table: list, i, what: str):
+    """table[i] for an int index inside the table, else a ValueError."""
+    if type(i) is not int or not 0 <= i < len(table):
+        raise ValueError(f"{what} index {i!r} is outside {len(table)} "
+                         f"entries")
+    return table[i]
+
+
+def _pair_reader(table: list, numbers: list, what: str):
+    """Entry i of a table of number-index pairs, as a pair of strings,
+    each entry read and checked once."""
+    done: dict[int, tuple[str, str]] = {}
+
+    def read(i) -> tuple[str, str]:
+        got = done.get(i) if type(i) is int else None
+        if got is None:
+            entry = _at(table, i, what)
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ValueError(f"{what} {i} is not a pair of indices")
+            got = done[i] = tuple(_at(numbers, j, f"{what} {i}: number")
+                                  for j in entry)
+        return got
+    return read
+
+
 def classification_digest(source) -> dict:
     """Canonical face -> classification map, from a report or a sidecar.
 
     Equality of digests is the losslessness check for the JSON export.
-    A report is read through the sidecar's own encoding.
+    A report is read through the sidecar's own encoding.  A face is keyed
+    by the exact ends of its I, J and K; its value is its status and, per
+    vertex, the vertex, side triple and slack.  Malformed input raises a
+    ValueError that names the face.
     """
     if isinstance(source, AdditivityReport):
-        source = {"faces": _encode_faces(source)}
+        # n_F is not in the digest, so it is not worked out for it
+        source = {"schema": SCHEMA,
+                  **_encode(source, repeat(0, len(source.faces)))}
+    if source.get("schema") != SCHEMA:
+        raise ValueError(f"unknown schema {source.get('schema')!r}, "
+                         f"expected {SCHEMA!r}")
+    missing = [k for k in ("numbers", "points", "cells", "faces")
+               if k not in source]
+    if missing:
+        raise ValueError(f"the sidecar has no {', '.join(missing)}")
+    numbers = source["numbers"]
+    cell = _pair_reader(source["cells"], numbers, "cell")
+    point = _pair_reader(source["points"], numbers, "point")
     out = {}
-    for item in source["faces"]:
-        key = (item["I"][0], item["I"][1], item["J"][0], item["J"][1],
-               item["K"][0], item["K"][1])
-        out[key] = (item["status"],
-                    tuple((r["vertex"][0], r["vertex"][1],
-                           tuple(r["sides"]), r["slack"])
-                          for r in item["slacks"]))
+    for n, item in enumerate(source["faces"]):
+        try:
+            fi, fj, fk = item["cells"]
+            verts, recs = item["vertices"], item["slacks"]
+            if len(recs) != len(verts):
+                raise ValueError(f"{len(recs)} slack records for "
+                                 f"{len(verts)} vertices")
+            out[(*cell(fi), *cell(fj), *cell(fk))] = (
+                item["status"],
+                tuple((*point(v), tuple(r["sides"]), r["slack"])
+                      for v, r in zip(verts, recs)))
+        except KeyError as err:
+            raise ValueError(f"face {n}: no key {err}") from None
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"face {n}: {err}") from None
     return out

@@ -14,7 +14,8 @@ shape survives all the additivity constraints.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,25 +33,38 @@ class LinearSystem:
     A row is (label, coefficients), the coefficients a mapping from
     variable names to QNums, ints or Fractions.  Rows that share one
     mapping, as the equal rows of ``build_system`` do, are eliminated once.
+    The labels and the mappings are kept apart, so that a system of
+    ``build_system`` formats its labels only when they are read.
     """
 
     def __init__(self, variables, rows):
+        rows = list(rows)
+        self._init(variables, [label for label, _ in rows],
+                   [coeffs for _, coeffs in rows])
+
+    def _init(self, variables, labels, coeffs) -> None:
         self.variables: tuple[str, ...] = tuple(variables)
-        self.rows: list[tuple[str, Mapping[str, QNum]]] = list(rows)
+        self._labels: Sequence[str] = labels
+        self._coeffs: list[Mapping[str, QNum]] = coeffs
         self._order = {n: k for k, n in enumerate(self.variables)}
         if len(self._order) != self.n_vars:
             raise ValueError(f"duplicate variable names in {self.variables}")
-        for label, coeffs in _distinct(self.rows):
+        for i, coeffs in _distinct(self._coeffs):
             unknown = coeffs.keys() - self._order.keys()
             if unknown:
-                raise ValueError(f"row {label!r} names "
+                raise ValueError(f"row {labels[i]!r} names "
                                  f"{', '.join(sorted(map(str, unknown)))}, "
                                  f"not among the variables")
             bad = [c for c in coeffs.values()
                    if not isinstance(c, (int, Fraction, QNum))]
             if bad:
-                raise TypeError(f"row {label!r} has the coefficient "
+                raise TypeError(f"row {labels[i]!r} has the coefficient "
                                 f"{bad[0]!r}, not an int, Fraction or QNum")
+
+    @property
+    def rows(self) -> list[tuple[str, Mapping[str, QNum]]]:
+        """The (label, coefficients) rows, in order, built on each read."""
+        return list(zip(self._labels, self._coeffs))
 
     @property
     def n_vars(self) -> int:
@@ -58,12 +72,12 @@ class LinearSystem:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self._coeffs)
 
     def matrix(self) -> list[list[QNum]]:
         zero = QNum(0)
         out = []
-        for _, coeffs in self.rows:
+        for coeffs in self._coeffs:
             row = [zero] * self.n_vars
             for name, c in coeffs.items():
                 row[self._order[name]] = c
@@ -78,7 +92,7 @@ class LinearSystem:
         reducing a row by pivots raises its least column; elimination
         stops once every column has a pivot."""
         order, pivots = self._order, {}
-        for _, coeffs in _distinct(self.rows):
+        for _, coeffs in _distinct(self._coeffs):
             if len(pivots) == self.n_vars:
                 break
             row = {order[n]: c for n, c in coeffs.items() if c}
@@ -109,12 +123,42 @@ class LinearSystem:
         return LinearSystem(self.variables, self.rows[:i] + self.rows[i + 1:])
 
 
-def _distinct(rows):
-    """The first row of each coefficient mapping, by identity, in order."""
+def _distinct(coeffs):
+    """(i, mapping) for the first row i of each mapping, by identity, in
+    order."""
     first = {}
-    for row in rows:
-        first.setdefault(id(row[1]), row)
+    for i, row in enumerate(coeffs):
+        first.setdefault(id(row), (i, row))
     return first.values()
+
+
+class _RowLabels(Sequence):
+    """The label F(I,J,K)(u,v) of each row of ``build_system``, formatted
+    when read.  A face row keeps eight indices into the distinct number
+    texts, the ends of I, J and K and the vertex: 16 bytes (32 past 65,536
+    numbers) where its label would be a string of about 85.  The labels
+    of ``tail`` follow."""
+
+    __slots__ = ("_texts", "_at", "_tail")
+
+    def __init__(self, texts: list[str], at: array, tail: list[str]):
+        self._texts, self._at, self._tail = texts, at, tail
+
+    def __len__(self) -> int:
+        return len(self._at) // 8 + len(self._tail)
+
+    def __getitem__(self, i: int) -> str:
+        k = 8 * range(len(self))[i]
+        if k >= len(self._at):
+            return self._tail[(k - len(self._at)) // 8]
+        a, b, c, d, e, g, u, v = map(self._texts.__getitem__,
+                                     self._at[k:k + 8])
+        return f"F({_span(a, b)},{_span(c, d)},{_span(e, g)})({u},{v})"
+
+
+def _span(a: str, b: str) -> str:
+    """An Interval's text, from the texts of its ends, with no spaces."""
+    return "{%s}" % a if a == b else f"[{a},{b}]"
 
 
 def drop_one_ranks(system: LinearSystem) -> list[int]:
@@ -248,12 +292,15 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
     face's vertices, whose limit sides the face's classification holds.
     Returns the system with one row per pair, plus explicit symmetry rows
     when ``eliminate_symmetry`` is off.  Each (coordinate, side) is
-    expanded once, and equal rows share one read-only mapping.
+    expanded once, equal rows share one read-only mapping, and a row's
+    label is formatted only when it is read.
     """
     param = _Parametrization(fn, special_intervals, eliminate_symmetry)
     report = additive_face_report(fn)
 
-    rows = []
+    coeff_rows = []
+    numbers: dict[QNum, int] = {}  # each number of a label -> its index
+    at = []  # per row the indices of I.a, I.b, J.a, J.b, K.a, K.b, u, v
     terms = {}  # (coordinate, side, sign) -> sign times its expansion
     shared = {}  # a row's sorted (name, coefficient) pairs -> its mapping
     same = {}.setdefault  # one object per distinct coefficient value
@@ -285,11 +332,18 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
         if row is None:
             row = shared[key] = MappingProxyType(
                 {n: same(c, c) for n, c in key})
-        rows.append((f"{face.label()}({u},{v})".replace(" ", ""), row))
+        coeff_rows.append(row)
+        at += (numbers.setdefault(q, len(numbers)) for q in (
+            face.I.a, face.I.b, face.J.a, face.J.b, face.K.a, face.K.b, u, v))
 
-    if not eliminate_symmetry:
-        rows.extend(param.symmetry_rows())
-    return LinearSystem(param.variables, rows)
+    sym = [] if eliminate_symmetry else param.symmetry_rows()
+    coeff_rows += [coeffs for _, coeffs in sym]
+    labels = _RowLabels([str(q).replace(" ", "") for q in numbers],
+                        array("H" if len(numbers) <= 1 << 16 else "I", at),
+                        [label for label, _ in sym])
+    system = LinearSystem.__new__(LinearSystem)
+    system._init(param.variables, labels, coeff_rows)
+    return system
 
 
 # -- epsilon constants -----------------------------------------------------------

@@ -678,3 +678,72 @@ def function_from_sidecar(data: dict) -> PwlFunction:
                      for a, b in f["special_intervals"])
     return PwlFunction(rows, parse_qnum(f["f"]), name=f["name"],
                        special_intervals=specials)
+
+
+# -- the schema-1 sidecar, the reference of the schema-2 writer ----------------
+
+
+def reference_sidecar_v1(fn) -> dict:
+    """The ``groupcut-diagram/1`` sidecar of fn, face by face from built
+    faces and classifications: each face names its I, J and K and each
+    vertex by value."""
+    from groupcut.additivity import additive_face_report
+    base = fn if isinstance(fn, PwlFunction) else fn.base
+    report = additive_face_report(base)
+    faces = []
+    for cls, nf in zip(report.faces, report.n_f):
+        face = cls.face
+        verts = [[str(u), str(v)] for u, v in face.vertices]
+        faces.append({
+            "I": [str(face.I.a), str(face.I.b)],
+            "J": [str(face.J.a), str(face.J.b)],
+            "K": [str(face.K.a), str(face.K.b)],
+            "dim": face.dim,
+            "status": cls.status,
+            "n_f": nf,
+            "vertices": verts,
+            "slacks": [{"vertex": vert, "sides": list(r.sides),
+                        "slack": str(r.slack)}
+                       for vert, r in zip(verts, cls.slacks)],
+        })
+    out = {"schema": "groupcut-diagram/1",
+           "function": {
+               "name": base.name,
+               "f": str(base.f),
+               "rows": [[str(r.x), str(r.left), str(r.value), str(r.right)]
+                        for r in base.rows],
+               "special_intervals": [[str(a), str(b)]
+                                     for a, b in base.special_intervals]},
+           "faces": faces}
+    if base is not fn:
+        out["note"] = (f"rendered as the piecewise linear base; the actual "
+                       f"values move by +/-{fn.params.s} on dense coset "
+                       f"families inside the special intervals")
+    return out
+
+
+def expand_sidecar_v2(data: dict) -> dict:
+    """A ``groupcut-diagram/2`` sidecar written out as schema 1: every
+    index replaced by the exact strings it points at, ``dim`` put back."""
+    numbers = data["numbers"]
+    cells = [[numbers[a], numbers[b]] for a, b in data["cells"]]
+    points = [[numbers[a], numbers[b]] for a, b in data["points"]]
+    faces = []
+    for item in data["faces"]:
+        fi, fj, fk = item["cells"]
+        verts = [points[v] for v in item["vertices"]]
+        faces.append({
+            "I": cells[fi], "J": cells[fj], "K": cells[fk],
+            "dim": min(len(verts) - 1, 2),
+            "status": item["status"],
+            "n_f": item["n_f"],
+            "vertices": verts,
+            "slacks": [{"vertex": vert, "sides": list(r["sides"]),
+                        "slack": r["slack"]}
+                       for vert, r in zip(verts, item["slacks"])],
+        })
+    out = {"schema": "groupcut-diagram/1", "function": data["function"],
+           "faces": faces}
+    if "note" in data:
+        out["note"] = data["note"]
+    return out

@@ -113,8 +113,8 @@ def test_report_json_is_exact():
     assert doc["function"]["f"] == "1/2"
     assert len(doc["faces"]) == 33
     some = doc["faces"][0]
-    assert set(some) == {"I", "J", "K", "dim", "status", "n_f", "vertices",
-                         "slacks"}
+    assert set(some) == {"cells", "status", "n_f", "vertices", "slacks"}
+    assert {"numbers", "points", "cells"} <= set(doc)
 
 
 

@@ -251,7 +251,7 @@ def test_diagram_files(tmp_path, capsys):
     jp = tmp_path / "psi.json"
     assert main(["diagram", "psi", "--format", "json", "--out", str(jp)]) == 0
     capsys.readouterr()
-    assert json.loads(jp.read_text())["schema"] == "groupcut-diagram/1"
+    assert json.loads(jp.read_text())["schema"] == "groupcut-diagram/2"
 
 
 def test_diagram_builds_only_the_requested_format(monkeypatch, capsys):
@@ -265,7 +265,7 @@ def test_diagram_builds_only_the_requested_format(monkeypatch, capsys):
     monkeypatch.setattr(diagram, "render_svg", refuse)
     assert main(["diagram", "psi", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["schema"] == (
-        "groupcut-diagram/1")
+        "groupcut-diagram/2")
 
 
 @pytest.mark.parametrize("flag", ["--no-additive", "--no-cones",
@@ -325,6 +325,21 @@ def test_eval_at_powers_of_one_minus_sqrt2_exits_promptly(tmp_path):
         done = _run_cli("eval", str(path), str(x))
         assert done.returncode == 0, done.stderr
         assert done.stdout == f"{psi_function().eval(x)}\n"
+
+
+def test_diagram_json_is_the_same_under_two_hash_seeds():
+    # the order of the sidecar's numbers is insertion order, never that of
+    # a set or of a dict keyed by hashed numbers
+    src = os.path.dirname(os.path.dirname(groupcut.__file__))
+    code = "import sys; from groupcut.cli import main; sys.exit(main())"
+    runs = [subprocess.run(
+        [sys.executable, "-c", code, "diagram", "psi", "--format", "json"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")]
+    assert [done.returncode for done in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["schema"] == "groupcut-diagram/2"
 
 
 def test_verify_all_json_output_is_pinned():

@@ -1,6 +1,7 @@
 """SVG rendering and the JSON sidecar round trip."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,15 @@ import pytest
 from groupcut.exactnum import QNum
 from groupcut.pwl import BreakpointRow, PwlFunction
 from groupcut.additivity import additive_face_report
-from groupcut.catalog import (kzh_params, lifted_function, psi_function,
-                              psi_prime_function)
+from groupcut.catalog import (kzh_function, kzh_params, lifted_function,
+                              psi_function, psi_prime_function)
 from groupcut.diagram import (
     SCHEMA, classification_digest, render_sidecar, render_svg,
     sidecar_to_json,
 )
 
-from helpers import function_from_sidecar
+from helpers import (expand_sidecar_v2, function_from_sidecar, gmic,
+                     random_pwl, reference_sidecar_v1)
 
 Q = lambda *a: QNum(Fraction(*a))
 GREEN = "#1a9641"
@@ -78,7 +80,7 @@ def test_nf_coloring():
 
 def test_sidecar_shape():
     data = render_sidecar(psi_function())
-    assert data["schema"] == SCHEMA == "groupcut-diagram/1"
+    assert data["schema"] == SCHEMA == "groupcut-diagram/2"
     f = data["function"]
     assert f["name"] == "psi"
     assert f["f"] == "1/2"
@@ -86,6 +88,20 @@ def test_sidecar_shape():
                for row in f["rows"])
     assert {item["status"] for item in data["faces"]} <= {
         "additive", "limit_additive", "non_additive"}
+    numbers, points, cells = data["numbers"], data["points"], data["cells"]
+    assert len(set(numbers)) == len(numbers)
+    assert all(isinstance(s, str) for s in numbers)
+    assert all(0 <= i < len(numbers) for pair in points + cells for i in pair)
+    assert [numbers[c[0]] for c in cells[::2]] == [
+        "0", "1/8", "3/8", "1/2", "5/8", "7/8", "1", "9/8", "11/8", "3/2",
+        "13/8", "15/8", "2"]
+    for item in data["faces"]:
+        assert set(item) == {"cells", "vertices", "n_f", "status", "slacks"}
+        fi, fj, fk = item["cells"]
+        # I and J are cells over [0, 1], the first 13; K is any cell
+        assert max(fi, fj) < 13 and fk < len(cells)
+        assert len(item["slacks"]) == len(item["vertices"])
+        assert all(0 <= v < len(points) for v in item["vertices"])
 
 
 def test_sidecar_round_trip_is_lossless():
@@ -111,9 +127,11 @@ def test_sidecar_round_trip_with_irrational_function():
 
 def test_unknown_schema_rejected():
     data = render_sidecar(psi_function())
-    data["schema"] = "groupcut-diagram/2"
+    data["schema"] = "groupcut-diagram/1"
     with pytest.raises(ValueError, match="schema"):
         function_from_sidecar(data)
+    with pytest.raises(ValueError, match="schema"):
+        classification_digest(data)
 
 
 def test_lifted_renders_its_base_with_a_note():
@@ -128,3 +146,108 @@ def test_lifted_renders_its_base_with_a_note():
 def test_non_function_input_rejected():
     with pytest.raises(TypeError):
         render_svg(42)
+
+
+# -- schema 2 against the schema-1 reference ------------------------------------
+
+
+def _seeded_grid_functions():
+    rng = random.Random(28)
+    return [random_pwl(rng, n) for n in (5, 7, 12) for _ in range(3)]
+
+
+@pytest.mark.parametrize("make", [
+    psi_function, psi_prime_function, kzh_function, lifted_function,
+    lambda: gmic(Fraction(2, 3)), *(
+        (lambda fn=fn: fn) for fn in _seeded_grid_functions())],
+    ids=["psi", "psi_prime", "kzh", "lifted", "gmic",
+         *(f"grid{i}" for i in range(9))])
+def test_v2_expands_to_the_v1_reference(make):
+    fn = make()
+    data = json.loads(sidecar_to_json(render_sidecar(fn)))
+    want = json.loads(json.dumps(reference_sidecar_v1(fn)))
+    assert expand_sidecar_v2(data) == want
+    if make is kzh_function:  # the special intervals give faces an n_F
+        assert {item["n_f"] for item in data["faces"]} == {0, 1, 2}
+        assert len(data["numbers"]) == 664
+    if make is lifted_function:
+        assert "19/23998" in data["note"]
+
+
+def _psi_sidecar():
+    return json.loads(sidecar_to_json(render_sidecar(psi_function())))
+
+
+def _bad(edit):
+    data = _psi_sidecar()
+    edit(data)
+    return data
+
+
+def _set(seq, i, value):
+    seq[i] = value
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(schema="groupcut-diagram/1"), "unknown schema"),
+    (lambda d: d.pop("numbers"), "no numbers"),
+    (lambda d: _set(d["faces"][3]["cells"], 0, 10**6),
+     "face 3: cell index 1000000"),
+    (lambda d: _set(d["faces"][3]["cells"], 2, -1), "face 3: cell index -1"),
+    (lambda d: _set(d["faces"][3]["vertices"], 0, 10**6),
+     "face 3: point index 1000000"),
+    (lambda d: _set(d["faces"][3]["vertices"], 0, "0"),
+     "face 3: point index '0'"),
+    (lambda d: _set(d["points"], d["faces"][3]["vertices"][0], [0, 999]),
+     r"face \d+: point \d+: number index 999"),
+    (lambda d: _set(d["cells"], d["faces"][3]["cells"][0], [-1, 0]),
+     r"face \d+: cell \d+: number index -1"),
+    (lambda d: _set(d["cells"], d["faces"][3]["cells"][0], [0]),
+     r"face \d+: cell \d+ is not a pair"),
+    (lambda d: d["faces"][3]["slacks"].pop(), "face 3: 1 slack records for "
+     "2 vertices"),
+    (lambda d: d["faces"][3]["slacks"].append({}), "face 3: 3 slack"),
+    (lambda d: d["faces"][3].pop("status"), "face 3: no key 'status'"),
+    (lambda d: d["faces"][3]["slacks"][0].pop("slack"),
+     "face 3: no key 'slack'"),
+    (lambda d: _set(d["faces"][3], "cells", [0, 1]), "face 3: not enough"),
+])
+def test_malformed_v2_is_a_value_error_naming_the_face(edit, message):
+    data = _bad(edit)
+    assert len(_psi_sidecar()["faces"][3]["vertices"]) == 2
+    with pytest.raises(ValueError, match=message):
+        classification_digest(data)
+
+
+def test_digest_sees_a_nudged_number_or_slack():
+    data = _psi_sidecar()
+    digest = classification_digest(data)
+    nudge = Fraction(1, 10**6)
+    i = data["numbers"].index("3/8")
+    data["numbers"][i] = str(Fraction(3, 8) + nudge)
+    assert classification_digest(data) != digest
+    data = _psi_sidecar()
+    rec = next(r for item in data["faces"] for r in item["slacks"]
+               if r["slack"] != "0")
+    rec["slack"] = str(Fraction(rec["slack"]) + nudge)
+    assert classification_digest(data) != digest
+
+
+def test_digest_of_a_report_works_out_no_n_f():
+    # the digest has no n_F, so reading a report leaves n_F unbuilt
+    psi = psi_function()
+    fn = PwlFunction(psi.rows, psi.f, special_intervals=((Q(1, 8), Q(3, 8)),))
+    report = additive_face_report(fn)
+    digest = classification_digest(report)
+    assert "n_f" not in vars(report)
+    assert digest == classification_digest(json.loads(sidecar_to_json(
+        render_sidecar(fn))))
+    assert any(report.n_f)
+
+
+def test_faces_of_one_kind_share_their_slack_records():
+    # so render_sidecar's dict is read-only, and small to keep until dumped
+    faces = render_sidecar(kzh_function())["faces"]
+    assert len({id(item["slacks"]) for item in faces}) == 6243
+    assert len({id(r) for item in faces for r in item["slacks"]}) == 3453
+    assert sum(len(item["slacks"]) for item in faces) == 40627

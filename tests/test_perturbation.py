@@ -401,6 +401,17 @@ def test_equal_rows_share_one_read_only_mapping():
     assert retained(ranks)[0] < RANDOM_GRID_SYSTEMS_BYTES * 1.05
 
 
+def test_random_grid_systems_keep_no_label_text():
+    # each row keeps eight two-byte indices into the distinct number texts,
+    # and its label is formatted when read; the labels took 34,876 bytes
+    ranks = _random_grid_two_slope_systems(1)
+    gc.collect()
+    assert retained(ranks)[0] < 36_000
+    system = ranks[0][0]
+    assert [label for label, _ in system.rows] == list(system._labels)
+    assert all(isinstance(label, str) for label, _ in system.rows)
+
+
 def test_build_system_rejects_a_point_that_is_not_a_vertex():
     fn = PwlFunction.continuous_from_values([(0, 0), (H, 1)], H)
     rep = additive_face_report(fn)
