@@ -24,10 +24,6 @@ from .pwl import SIDE_NAMES, PwlFunction, load as load_pwl_file, to_text
 from . import verify as verify_mod
 
 
-class _InputError(ValueError):
-    pass
-
-
 def _load(spec: str):
     """A catalog name or a path to a saved function file."""
     if spec in catalog.CATALOG:
@@ -35,21 +31,21 @@ def _load(spec: str):
     try:
         return load_pwl_file(spec)
     except FileNotFoundError:
-        raise _InputError(f"unknown function {spec!r}: not a catalog name "
-                          f"({', '.join(catalog.catalog_names())}) and no "
-                          f"such file")
+        raise ValueError(f"unknown function {spec!r}: not a catalog name "
+                         f"({', '.join(catalog.catalog_names())}) and no "
+                         f"such file")
     except OSError as e:
-        raise _InputError(f"cannot read function file {spec!r}: "
-                          f"{e.strerror or e}")
+        raise ValueError(f"cannot read function file {spec!r}: "
+                         f"{e.strerror or e}")
     except ValueError as e:
-        raise _InputError(f"cannot parse function file {spec!r}: {e}")
+        raise ValueError(f"cannot parse function file {spec!r}: {e}")
 
 
 def _load_pwl(spec: str) -> PwlFunction:
     fn = _load(spec)
     if not isinstance(fn, PwlFunction):
-        raise _InputError(f"{spec!r} is not piecewise linear; this command "
-                          f"needs a piecewise linear function")
+        raise ValueError(f"{spec!r} is not piecewise linear; this command "
+                         f"needs a piecewise linear function")
     return fn
 
 
@@ -57,7 +53,7 @@ def _parse_x(text: str):
     try:
         return parse_qnum(text)
     except ValueError as e:
-        raise _InputError(f"cannot parse number {text!r}: {e}")
+        raise ValueError(f"cannot parse number {text!r}: {e}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -68,7 +64,7 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
     except OSError as e:
-        raise _InputError(f"cannot write {out!r}: {e.strerror or e}")
+        raise ValueError(f"cannot write {out!r}: {e.strerror or e}")
 
 
 def _cmd_eval(args) -> int:
@@ -123,8 +119,8 @@ def _cmd_covering(args) -> int:
 def _cmd_perturbation_rank(args) -> int:
     fn = _load_pwl(args.func)
     if fn.name != "kzh":
-        raise _InputError("the certified equation selection is built for "
-                          "the catalog function 'kzh'")
+        raise ValueError("the certified equation selection is built for "
+                         "the catalog function 'kzh'")
     report = verify_mod.verify_kzh_perturbation_rank(fn)
     print(report)
     return 0 if report else 1
@@ -132,7 +128,7 @@ def _cmd_perturbation_rank(args) -> int:
 
 def _cmd_epsilon(args) -> int:
     if args.check and args.kind != "lipschitz":
-        raise _InputError("--check applies to epsilon lipschitz only")
+        raise ValueError("--check applies to epsilon lipschitz only")
     fn = _load_pwl(args.func)
     pert = _load_pwl(args.perturbation)
     if args.kind == "lipschitz":
@@ -179,11 +175,11 @@ def _cmd_catalog(args) -> int:
             print(name)
         return 0
     if args.name is None:
-        raise _InputError("catalog export needs a function name")
+        raise ValueError("catalog export needs a function name")
     fn = _load(args.name)
     if not isinstance(fn, PwlFunction):
-        raise _InputError(f"{args.name!r} is not piecewise linear and has "
-                          f"no exact finite text form")
+        raise ValueError(f"{args.name!r} is not piecewise linear and has "
+                         f"no exact finite text form")
     _emit(to_text(fn), args.out)
     return 0
 
@@ -192,8 +188,8 @@ def _cmd_diagram(args) -> int:
     if args.format == "json":
         for flag in ("no_additive", "no_cones", "color_by_nf"):
             if getattr(args, flag):
-                raise _InputError(f"--{flag.replace('_', '-')} applies to "
-                                  f"--format svg only")
+                raise ValueError(f"--{flag.replace('_', '-')} applies to "
+                                 f"--format svg only")
     fn = _load(args.func)
     if args.format == "svg":
         text = diagram.render_svg(

@@ -185,7 +185,8 @@ def _enumerate(cx: Complex2D):
     a sum key w < m is G[w] and m + i n + j is P[i] + P[j].  A vertex is
     keyed x_key * W + y_key, with its coordinate put on a breakpoint
     whenever it equals one, so equal keys are equal points and point sets
-    deduplicate on sorted keys.  Values are built once per distinct key.
+    deduplicate on sorted keys.  Values are built once per distinct key,
+    and each distinct value is one object (``diagram._encode`` relies on it).
     Sum keys are offset by W where they share one key space with x and y
     keys: in ``value``, in the projection spans and in ``Complex2D.keys``.
     """

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import pairwise
 
 from .additivity import ADDITIVE, AdditivityReport
-from .complex2d import Face2D
 from .exactnum import QNum
 
 Span = tuple[QNum, QNum]  # an open interval
@@ -35,7 +34,6 @@ class Move:
     param: QNum  # the shift amount, or the reflection center
     src: Span
     dst: Span
-    face: Face2D
 
 
 @dataclass
@@ -55,7 +53,7 @@ def _reduce_span(a: QNum, b: QNum) -> Span:
 def _additive(report: AdditivityReport):
     """By position: the 2-D faces' reduced projection spans, in order, to
     their pieces; each 1-D face's move with its ends' pieces; the pieces of
-    each 2-D face's projections.  Only the 1-D faces are built."""
+    each 2-D face's projections.  No face is built."""
     P = report.complex.points_x
     intervals, _, proj, starts, _ = report.complex.faces.ids()
     placed = {}
@@ -84,18 +82,18 @@ def _additive(report: AdditivityReport):
     links = {tuple(place(i)[2] for i in flat[t:t + 3])
              for t in range(0, len(flat), 3)}
     moves = []
-    for n, F in zip(edges, report.complex.faces.at(edges)):
+    for n in edges:
         (v1, s1, i), (v2, s2, j), (v3, s3, k) = map(place,
                                                     proj[3 * n:3 * n + 3])
         # an edge of the complex is vertical, horizontal, or antidiagonal
         if v3.is_point:
-            moves.append((Move("reflection", v3.a, s1, s2, F), i, j))
+            moves.append((Move("reflection", v3.a, s1, s2), i, j))
         elif v1.is_point:
-            moves.append((Move("translation", v1.a, s2, s3, F), j, k))
+            moves.append((Move("translation", v1.a, s2, s3), j, k))
         elif v2.is_point:
-            moves.append((Move("translation", v2.a, s1, s3, F), i, k))
+            moves.append((Move("translation", v2.a, s1, s3), i, k))
         else:
-            raise ArithmeticError(f"{F.label()} is not an edge of a complex")
+            raise ArithmeticError(f"face {n} is not an edge of a complex")
     return direct, moves, links
 
 

@@ -186,26 +186,21 @@ def render_svg(fn, *, show_additive: bool = True,
 def _encode(report: AdditivityReport, n_f) -> dict:
     """The sidecar's tables and faces, written by position from the face
     store and the classification kinds, with n_f the n_F of each face.
-    Each coordinate string is in ``numbers`` once, first the cells' ends
-    in cell order, then the points' in point order; each distinct (slack,
-    sides) record is one dict and each slack tuple one list, shared by all
-    faces of that kind."""
+    The complex keeps one object per exact value (``complex2d._enumerate``),
+    so told apart by id each coordinate is in ``numbers`` once: the cells'
+    ends first, then the points'.  Each distinct (slack, sides) record is one
+    dict and each slack tuple one list, shared by all faces of that kind."""
     cx = report.complex
     _, points, _, starts, verts = cx.faces.ids()
     kind, slack_sides = report.faces.kinds()
     numbers: list[str] = []
-    by_text: dict[str, int] = {}
     by_id: dict[int, int] = {}  # id of a coordinate object -> its number
 
     def number(q) -> int:
         i = by_id.get(id(q))
         if i is None:
-            s = str(q)
-            i = by_text.get(s)
-            if i is None:
-                i = by_text[s] = len(numbers)
-                numbers.append(s)
-            by_id[id(q)] = i
+            i = by_id[id(q)] = len(numbers)
+            numbers.append(str(q))
         return i
 
     cells = [(number(iv.a), number(iv.b)) for iv in cx.faces_k]
@@ -301,13 +296,14 @@ def classification_digest(source) -> dict:
         # n_F is not in the digest, so it is not worked out for it
         source = {"schema": SCHEMA,
                   **_encode(source, repeat(0, len(source.faces)))}
+    if not isinstance(source, dict):
+        raise ValueError(f"a sidecar is a dict, not {type(source).__name__}")
     if source.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {source.get('schema')!r}, "
                          f"expected {SCHEMA!r}")
-    missing = [k for k in ("numbers", "points", "cells", "faces")
-               if k not in source]
-    if missing:
-        raise ValueError(f"the sidecar has no {', '.join(missing)}")
+    for k in ("numbers", "points", "cells", "faces"):
+        if not isinstance(source.get(k), list):
+            raise ValueError(f"the sidecar has no {k} list")
     numbers = source["numbers"]
     cell = _pair_reader(source["cells"], numbers, "cell")
     point = _pair_reader(source["points"], numbers, "point")

@@ -411,9 +411,8 @@ def lipschitz_epsilon(fn: PwlFunction, pert: PwlFunction) -> EpsilonResult:
     if M == 0:
         raise ValueError("perturbation is additive at every complex vertex; "
                          "the bound degenerates")
-    C = max((abs(s) for s in pert.slopes), default=QNum(0))
-    if C == 0:
-        C = QNum(1)
+    # C > 0: a continuous pert with no slope is constant, 0 at f, so M = 0
+    C = max(abs(s) for s in pert.slopes)
     eps = min(m / M, m / (8 * C))
     return EpsilonResult(m=m, M=M, C=C, eps=eps)
 

@@ -129,7 +129,8 @@ def verify_psi_separation(stats, psi: PwlFunction | None = None,
     stats["cone_slack_psi"] = str(s_psi)
     stats["cone_slack_psi_prime"] = str(s_prime)
     if s_psi != 0 or s_prime <= 0:
-        raise Refuted(f"cone slacks: psi {s_psi}, psi_prime {s_prime}")
+        raise Refuted(f"{cone.label()} at ({vertex[0]},{vertex[1]}): slack "
+                      f"psi {s_psi}, psi_prime {s_prime}")
 
     # psi_prime - psi is not an effective perturbation shape for psi: some
     # vanishing slack of psi does not vanish for it.  Slack is linear in
@@ -362,9 +363,9 @@ def _face_samples(face, p, lift):
 
     Combines points aimed exactly at the reflection-fixed cosets of both
     special intervals (rational grids never land in those measure-zero
-    families) with uniform rational grids that populate the two free
-    classes until each has MIN_PER_CLASS hits.  Returns the distinct
-    samples and the per-class hit counts, read from ``lift(t)[1]``.
+    families) with one uniform rational grid of 2 * MIN_PER_CLASS points
+    for the two free classes.  Returns the distinct samples and the
+    per-class hit counts, read from ``lift(t)[1]``.
     """
     (x0, y0), (x1, y1) = face.vertices[0], face.vertices[-1]
     lower_reps = catalog._c_representatives()
@@ -402,14 +403,9 @@ def _face_samples(face, p, lift):
                     if 0 < t < 1:
                         add(t)
 
-    grid = max(2 * MIN_PER_CLASS, 64)
-    for _ in range(4):
-        for k in range(1, grid + 1):
-            add(QNum(Fraction(k, grid + 1)))
-        if (counts[catalog.PLUS_CPLUS] >= MIN_PER_CLASS
-                and counts[catalog.MINUS] >= MIN_PER_CLASS):
-            break
-        grid = 2 * grid + 1
+    grid = 2 * MIN_PER_CLASS
+    for k in range(1, grid + 1):
+        add(QNum(Fraction(k, grid + 1)))
     return samples, counts
 
 

@@ -8,7 +8,7 @@ import sys
 import types
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from groupcut.complex2d import Interval, make_face
 from groupcut.exactnum import QNum, parse_qnum
@@ -115,6 +115,66 @@ def grid_pairs(seed: int, count: int):
         pi1, pi2 = gmic(f), gmic(f, k, f0)
         yield (pi1 + pi2).scale(Fraction(1, 2)), \
             (pi1 - pi2).scale(Fraction(1, 2)), pi1
+
+
+def composed(fn: PwlFunction, k: int, f) -> PwlFunction:
+    """fn composed with x -> kx, with f as its f: the rows of fn repeated
+    at (x + i)/k.  Minimal when fn is and k f = fn.f mod 1."""
+    rows = sorted((BreakpointRow((r.x + i) / k, r.left, r.value, r.right)
+                   for i in range(k) for r in fn.rows), key=lambda r: r.x)
+    return PwlFunction(rows, f)
+
+
+MISS = Fraction(1, 10**6)  # the nudge of a near miss
+
+
+def convex_minimal_family(seed: int, count: int):
+    """(fn, n, parts): count discontinuous minimal functions, each followed
+    by a near miss, with every breakpoint and f on the 1/n grid.
+
+    A minimal fn is lambda A + (1 - lambda) B with parts = (A, B) and
+    lambda = j/m: A is psi or psi_prime composed with x -> kx, B a two-slope
+    function of the same f, its image under x -> k2 x, or the other psi
+    image.  A convex combination of minimal functions with one f is
+    minimal.  Its near miss, with parts None, has one value or one-sided
+    limit nudged by +/-1/10^6, which breaks symmetry there, or also the
+    limit that symmetry pairs with it nudged back, which keeps symmetry
+    and may break subadditivity on one side of a jump only.
+    """
+    from groupcut.catalog import psi_function, psi_prime_function
+    rng = random.Random(seed)
+    psis = (psi_function(), psi_prime_function())
+    for _ in range(count):
+        k = rng.choice((1, 2, 3))
+        f = (Fraction(1, 2) + rng.randrange(k)) / k
+        which = rng.randrange(2)
+        a, style, n = composed(psis[which], k, f), rng.randrange(3), 8 * k
+        k2s = [k2 for k2 in (2, 3, 4)  # f0 = k2 f mod 1 > 0, n <= 48
+               if k2 * f % 1 and lcm(n, 2 * k * k2) <= 48]
+        if style == 1 and k2s:
+            k2 = rng.choice(k2s)
+            b, n = gmic(f, k2, k2 * f % 1), lcm(n, 2 * k * k2)
+        elif style == 2:
+            b = composed(psis[1 - which], k, f)
+        else:
+            b = gmic(f)
+        m = rng.choice((2, 3, 4))
+        lam = Fraction(rng.randrange(1, m), m)
+        fn = a.scale(lam) + b.scale(1 - lam)
+        yield fn, n, (a, b)
+        rows = list(fn.rows)
+        j, side, d = (rng.randrange(len(rows)), rng.randrange(3),
+                      rng.choice((MISS, -MISS)))
+        nudges = [(j, side, d)]
+        if rng.randrange(2):  # the symmetric partner moves back
+            x = (f - rows[j].x).mod1()
+            nudges.append((next(i for i, r in enumerate(rows) if r.x == x),
+                           2 - side, -d))
+        for i, side, d in nudges:
+            lims = [rows[i].left, rows[i].value, rows[i].right]
+            lims[side] += d
+            rows[i] = BreakpointRow(rows[i].x, *lims)
+        yield PwlFunction(rows, f), n, None
 
 
 # the realizable one-sided approach profiles (x side, y side, sum side)
@@ -483,13 +543,13 @@ def reference_edge_connections(report) -> list:
             raise ArithmeticError(f"{F.label()} is not an edge of a complex")
         if singletons[2]:
             moves.append(Move("reflection", F.p3.a, (F.p1.a, F.p1.b),
-                              (F.p2.a, F.p2.b), F))
+                              (F.p2.a, F.p2.b)))
         elif singletons[0]:
             moves.append(Move("translation", F.p1.a, (F.p2.a, F.p2.b),
-                              _reference_reduce_span(F.p3.a, F.p3.b), F))
+                              _reference_reduce_span(F.p3.a, F.p3.b)))
         else:
             moves.append(Move("translation", F.p2.a, (F.p1.a, F.p1.b),
-                              _reference_reduce_span(F.p3.a, F.p3.b), F))
+                              _reference_reduce_span(F.p3.a, F.p3.b)))
     return moves
 
 

@@ -19,7 +19,8 @@ from groupcut.catalog import (kzh_function, kzh_params, psi_function,
                               psi_prime_function)
 from groupcut.diagram import render_sidecar
 
-from helpers import random_pwl, retained, sampling_minimality_oracle
+from helpers import (convex_minimal_family, random_pwl, retained,
+                     sampling_minimality_oracle)
 
 H = Fraction(1, 2)
 Q = lambda *a: QNum(Fraction(*a))
@@ -385,3 +386,26 @@ def test_e_containment_rejects_non_pwl():
     from groupcut.catalog import lifted_function
     with pytest.raises(TypeError):
         e_containment(psi_function(), lifted_function())
+
+
+def test_slack_at_refuses_a_point_outside_the_face():
+    fn = psi_function()
+    face = additive_face_report(fn).complex.faces[0]
+    with pytest.raises(ValueError, match=r"point \(1/2, 0\) not in "
+                                         r"F\(\{0\}, \{0\}, \{0\}\)"):
+        slack_at(fn, face, (QNum(Fraction(1, 2)), QNum(0)))
+
+
+def test_minimality_on_discontinuous_minimal_combinations():
+    # every discontinuous random_pwl draw is non-minimal; these are convex
+    # combinations of minimal functions with jumps, and their near misses
+    verdicts = []
+    for fn, n, parts in convex_minimal_family(29, 12):
+        assert not fn.is_continuous
+        got = bool(minimality_test(fn))
+        assert got == sampling_minimality_oracle(fn, n)
+        assert got or parts is None
+        if parts is not None:
+            _assert_sweep_is_the_reference(fn)
+        verdicts.append(got)
+    assert verdicts.count(True) == verdicts.count(False) == 12

@@ -211,3 +211,33 @@ def test_faces_share_one_object_per_point_and_projection():
             for u, v in face.vertices:
                 assert kept.setdefault(u, u) is u
                 assert kept.setdefault(v, v) is v
+
+
+@pytest.mark.parametrize("breakpoints, message", [
+    ([], "start at 0"),
+    ([H], "start at 0"),
+    ([0, H, Fraction(1, 4)], "strictly increasing"),
+    ([0, H, 1], r"lie in \[0,1\)"),
+])
+def test_complex_refuses_a_bad_breakpoint_list(breakpoints, message):
+    with pytest.raises(ValueError, match=message):
+        Complex2D(breakpoints)
+
+
+def test_faces_read_by_slice_print_and_repr():
+    faces = half_complex().faces
+    assert faces[1:3] == (faces[1], faces[2])
+    assert str(faces[0]) == faces[0].label() == "F({0}, {0}, {0})"
+    assert repr(faces[0]) == ("Face2D(F({0}, {0}, {0}), "
+                              "vertices=((QNum('0'), QNum('0')),))")
+
+
+def test_ccw_hull_order_of_a_segment_and_of_a_point_on_an_edge():
+    def q(x, y):
+        return QNum(x), QNum(y)
+
+    assert ccw_hull_order([q(1, 0), q(0, 0)]) == [q(0, 0), q(1, 0)]
+    # a point collinear with the pivot comes before the farther one
+    square = [q(0, 2), q(2, 2), q(2, 0), q(1, 0), q(0, 0)]
+    assert ccw_hull_order(square) == [q(0, 0), q(1, 0), q(2, 0), q(2, 2),
+                                      q(0, 2)]

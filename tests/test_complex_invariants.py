@@ -21,6 +21,7 @@ from groupcut.additivity import additive_face_report
 from groupcut.catalog import kzh_function, psi_function, psi_prime_function
 from groupcut.complex2d import Complex2D, ccw_hull_order
 from groupcut.exactnum import QNum
+from helpers import convex_minimal_family
 
 
 def stored_faces(cx) -> list[tuple]:
@@ -117,3 +118,11 @@ def test_the_invariants_see_a_missing_face():
         "3 1-faces are not edges of two 2-faces, or of one on the boundary"]
     assert complex_errors(corners + sides[:-1] + triangles) == [
         "V - E + F = 2", "1 polygon edges are not stored 1-faces"]
+
+
+def test_the_complexes_of_discontinuous_minimal_combinations_tile_the_square():
+    # a near miss has the breakpoints, so the complex, of the function before
+    for fn, _, parts in convex_minimal_family(29, 12):
+        if parts is not None:
+            cx = additive_face_report(fn).complex
+            assert complex_errors(stored_faces(cx)) == []

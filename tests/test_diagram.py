@@ -12,7 +12,7 @@ from groupcut.additivity import additive_face_report
 from groupcut.catalog import (kzh_function, kzh_params, lifted_function,
                               psi_function, psi_prime_function)
 from groupcut.diagram import (
-    SCHEMA, classification_digest, render_sidecar, render_svg,
+    SCHEMA, _cone_arrow, classification_digest, render_sidecar, render_svg,
     sidecar_to_json,
 )
 
@@ -251,3 +251,34 @@ def test_faces_of_one_kind_share_their_slack_records():
     assert len({id(item["slacks"]) for item in faces}) == 6243
     assert len({id(r) for item in faces for r in item["slacks"]}) == 3453
     assert sum(len(item["slacks"]) for item in faces) == 40627
+
+
+@pytest.mark.parametrize("source", [[1], "groupcut-diagram/2", None])
+def test_digest_of_a_non_dict_is_a_value_error(source):
+    with pytest.raises(ValueError, match="a sidecar is a dict, not "):
+        classification_digest(source)
+
+
+@pytest.mark.parametrize("key", ["numbers", "points", "cells", "faces"])
+def test_digest_needs_each_table_as_a_list(key):
+    data = _bad(lambda d: d.update({key: 5}))
+    with pytest.raises(ValueError, match=f"the sidecar has no {key} list"):
+        classification_digest(data)
+
+
+@pytest.mark.parametrize("make", [
+    psi_function, psi_prime_function, kzh_function, lifted_function,
+    lambda: gmic(Fraction(2, 3)), *(
+        (lambda fn=fn: fn) for fn in _seeded_grid_functions())],
+    ids=["psi", "psi_prime", "kzh", "lifted", "gmic",
+         *(f"grid{i}" for i in range(9))])
+def test_numbers_hold_each_exact_value_once(make):
+    # the writer tells values apart by object: the complex keeps one
+    # object per value, so no string may repeat
+    numbers = render_sidecar(make())["numbers"]
+    assert len(set(numbers)) == len(numbers)
+
+
+def test_a_cone_arrow_of_no_length_is_not_drawn():
+    # a vertex and a centroid that meet in floats give no direction
+    assert _cone_arrow((Q(1, 3), Q(0)), (Q(1, 3), Q(0)), "(1/3, 0)") == ""

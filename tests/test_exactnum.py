@@ -327,3 +327,21 @@ def test_floor_of_powers_of_one_minus_sqrt2_is_exact_and_fast():
         assert x.floor() == (0 if n % 2 == 0 else -1)
         assert x.mod1() == (x if n % 2 == 0 else x + 1)
     assert time.perf_counter() - t0 < 30
+
+
+def test_a_text_or_qnum_first_part_takes_no_second():
+    with pytest.raises(ValueError, match="already fixes both parts"):
+        QNum("1/2", 1)
+    with pytest.raises(ValueError, match="two sqrt2 terms"):
+        parse_qnum("sqrt2 + 2*sqrt2")
+
+
+def test_an_operand_that_does_not_mix_is_not_implemented():
+    x, other = QNum(1, 1), object()
+    for op in (lambda: x - other, lambda: x * other, lambda: x / other,
+               lambda: x ** -1, lambda: x ** Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            op()
+    assert (x == other) is False
+    assert +x is x
+    assert repr(x) == "QNum('1 + 1*sqrt2')"

@@ -519,3 +519,13 @@ def test_gap_lower_bound_sample():
     for _ in range(150):
         hull, g, m, zero = random_gap_instance(rng)
         assert gap_instance_holds(hull, g, m, zero, rng)
+
+
+def test_a_linear_system_names_each_variable_once():
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        LinearSystem(["a", "b", "a"], [])
+
+
+def test_verify_effective_needs_a_piecewise_linear_perturbation():
+    with pytest.raises(TypeError, match="piecewise linear"):
+        verify_effective(psi_function(), lifted_function(), 1)

@@ -20,7 +20,8 @@ from groupcut.covering import components
 from groupcut.exactnum import QNum, format_qnum
 from groupcut.perturbation import lipschitz_epsilon, scaling_epsilon
 from groupcut.pwl import BreakpointRow, PwlFunction
-from helpers import (fresh_copy, gmic, grid_pairs, random_pwl,
+from helpers import (convex_minimal_family, fresh_copy, gmic, grid_pairs,
+                     random_pwl,
                      reference_covering, reference_directly_covered,
                      reference_e_containment,
                      reference_format_qnum, reference_lipschitz_epsilon,
@@ -77,8 +78,8 @@ def _assert_covering_as_reference(fn):
     new, old = components(report), reference_covering(ref)
     assert new.components == old.components
     assert new.uncovered == old.uncovered
-    assert [(m.kind, m.param, m.src, m.dst, m.face) for m in new.moves] == \
-        [(m.kind, m.param, m.src, m.dst, m.face) for m in old.moves]
+    assert [(m.kind, m.param, m.src, m.dst) for m in new.moves] == \
+        [(m.kind, m.param, m.src, m.dst) for m in old.moves]
 
 
 @pytest.mark.parametrize("breakpoints", [
@@ -195,3 +196,24 @@ def test_format_qnum_near_sqrt2():
         for x in (QNum(p, -q), QNum(-p, q), QNum(Fraction(p, q), -1),
                   QNum(0, Fraction(-p, q)), QNum(Fraction(-p, 3 * q))):
             assert format_qnum(x) == reference_format_qnum(x)
+
+
+def test_covering_and_e_containment_on_discontinuous_minimal_combinations():
+    # E(lambda A + (1 - lambda) B) is what E(A) and E(B) have in common,
+    # so it is within E(A) and within E(B)
+    relations = set()
+    minimal = [(fn, parts) for fn, _, parts in convex_minimal_family(29, 12)
+               if parts is not None]
+    for i, (fn, (a, b)) in enumerate(minimal):
+        _assert_covering_as_reference(fn)
+        first, second = (fn, a) if i % 2 else (b, fn)
+        got = e_containment(fresh_copy(first), fresh_copy(second))
+        want = reference_e_containment(fresh_copy(first), fresh_copy(second))
+        assert (got.relation, got.witness_only_in_first,
+                got.witness_only_in_second) == \
+            (want.relation, want.witness_only_in_first,
+             want.witness_only_in_second)
+        assert got.relation in (("equal", "strict_subset") if i % 2
+                                else ("equal", "strict_superset"))
+        relations.add(got.relation)
+    assert relations == {"equal", "strict_subset", "strict_superset"}

@@ -259,3 +259,27 @@ def test_readme_function_file_example_parses():
     example = section.split("```")[1]
     assert parse_text(example) == psi_function()
     assert to_text(parse_text(example)) == example.lstrip("\n")
+
+
+def test_a_breakpoint_outside_the_period_is_refused():
+    with pytest.raises(ValueError, match=r"breakpoint 1 outside \[0,1\)"):
+        PwlFunction([BreakpointRow.of(0, 0, 0, 0),
+                     BreakpointRow.of(1, 1, 1, 1)], H)
+
+
+def test_parse_text_needs_f_and_the_column_header():
+    text = to_text(gmic())
+    assert "f: 4/5\n" in text
+    with pytest.raises(ValueError, match="missing f header"):
+        parse_text(text.replace("f: 4/5\n", ""))
+    with pytest.raises(ValueError, match="missing column header line"):
+        parse_text(text.split("x | left")[0])
+
+
+def test_arithmetic_needs_a_function_with_the_same_f():
+    with pytest.raises(TypeError, match="another PwlFunction"):
+        gmic() + 1
+    with pytest.raises(ValueError, match="different f"):
+        gmic() - gmic(H)
+    assert (gmic() == 1) is False
+    assert repr(gmic()) == "PwlFunction(two_slope, f=4/5, 2 breakpoints)"

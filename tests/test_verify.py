@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupcut import catalog, covering
+from groupcut import catalog, covering, perturbation, verify
 from groupcut.additivity import additive_face_report
 from groupcut.exactnum import QNum
 from groupcut.complex2d import Complex2D
@@ -255,3 +255,218 @@ def test_mutation_control_reports_pinned():
     text = json.dumps([r.as_dict() for r in reports], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1d53beac5525d1bdd1e2b99c59dc655c92a5e9bed46226ed2cc6ff668df21d8e")
+
+
+# Each refutation branch below is reached by a crafted input or a patched
+# collaborator; the witness and the statistics gathered up to it are pinned.
+
+
+def test_psi_separation_refutes_a_cone_slack(monkeypatch):
+    monkeypatch.setattr(verify, "slack_at", lambda fn, face, vertex: Q(1))
+    rep = verify_psi_separation()
+    assert rep.status == REFUTED
+    assert rep.witness == ("F([3/8, 1/2], [3/8, 1/2], [5/8, 7/8]) at "
+                           "(3/8,3/8): slack psi 1, psi_prime 1")
+    assert rep.statistics == {
+        "minimal_psi": True, "minimal_psi_prime": True,
+        "containment": "strict_subset", "cone_slack_psi": "1",
+        "cone_slack_psi_prime": "1"}
+
+
+def test_psi_separation_refutes_a_difference_with_psi_zeros(monkeypatch):
+    # psi_prime's analysis read twice: the difference vanishes everywhere
+    real = verify._analyses
+    monkeypatch.setattr(verify, "_analyses", lambda fns: [real(fns)[1]] * 2)
+    rep = verify_psi_separation()
+    assert rep.status == REFUTED
+    assert rep.witness == ("psi_prime - psi vanishes on every vanishing "
+                           "slack of psi")
+    assert rep.statistics["cone_slack_psi_prime"] == "1"
+    assert "ineffective_witness" not in rep.statistics
+
+
+def _with_special(fn, *specials):
+    return PwlFunction(fn.rows, fn.f, name=fn.name,
+                       special_intervals=specials)
+
+
+def _slacks_with_s(monkeypatch, fn, s):
+    """The slack suite on fn with kzh's s replaced by s."""
+    params = dataclasses.replace(catalog.kzh_params(), s=s)
+    monkeypatch.setattr(catalog, "kzh_params", lambda: params)
+    return verify_kzh_claim_slacks(fn)
+
+
+def test_kzh_slacks_refute_a_face_meeting_three_specials():
+    rep = verify_kzh_claim_slacks(_with_special(psi_function(),
+                                                (0, Fraction(1, 8))))
+    assert rep.status == REFUTED
+    assert rep.witness == "F([0, 1/8], [0, 1/8], [0, 1/8]) has n_F = 3"
+    assert rep.statistics == {"faces_nf_1": 0, "faces_nf_2": 2,
+                              "additive_nf_positive": 2, "tight_vertices": 0}
+
+
+def test_kzh_slacks_refute_a_face_tight_everywhere(monkeypatch):
+    fn = _with_special(psi_prime_function(),
+                       (Fraction(1, 8), Fraction(1, 4)))
+    rep = _slacks_with_s(monkeypatch, fn, Q(1, 4))
+    assert rep.status == REFUTED
+    assert rep.witness == ("F([1/8, 3/8], [1/8, 3/8], [1/2, 5/8]) has every "
+                           "slack equal to n_F*s")
+    assert rep.statistics == {"faces_nf_1": 5, "faces_nf_2": 9,
+                              "additive_nf_positive": 13,
+                              "tight_vertices": 0}
+
+
+def test_kzh_slacks_refute_a_tie_on_two_specials(monkeypatch):
+    fn = _with_special(psi_function(), (Fraction(3, 8), Fraction(5, 8)))
+    rep = _slacks_with_s(monkeypatch, fn, Q(1, 4))
+    assert rep.status == REFUTED
+    assert rep.witness == ("F([0, 1/8], [3/8, 1/2], [1/2, 5/8]) is tight "
+                           "with n_F = 2")
+    assert rep.statistics == {"faces_nf_1": 3, "faces_nf_2": 6,
+                              "additive_nf_positive": 6, "tight_vertices": 2}
+
+
+def test_kzh_slacks_refute_a_tie_beside_a_small_slack(monkeypatch):
+    fn = _with_special(psi_function(), (Fraction(1, 8), Fraction(1, 4)))
+    rep = _slacks_with_s(monkeypatch, fn, Q(1, 2))
+    assert rep.status == REFUTED
+    assert rep.witness == ("F([0, 1/8], [0, 1/8], [1/8, 3/8]) mixes a tight "
+                           "vertex with slack 1 < 3s")
+    assert rep.statistics == {"faces_nf_1": 1, "faces_nf_2": 1,
+                              "additive_nf_positive": 1, "tight_vertices": 2}
+
+
+def test_kzh_rank_refutes_uncovered_pieces_that_are_not_special():
+    # the covering leaves nothing uncovered, yet a special interval is set
+    fn = _with_special(
+        PwlFunction.continuous_from_values([(0, 0), (Fraction(1, 2), 1)],
+                                           Fraction(1, 2), name="kzh"),
+        (Fraction(1, 8), Fraction(3, 8)))
+    rep = verify_kzh_perturbation_rank(fn)
+    assert rep.status == REFUTED
+    assert rep.witness == "uncovered [] is not the special intervals"
+    assert rep.statistics == {"components": 2, "uncovered": []}
+
+
+_KZH_UNCOVERED = [("219/800", "269/800"), ("371/800", "421/800")]
+
+
+def test_kzh_rank_refutes_a_selection_one_row_short(monkeypatch):
+    monkeypatch.setattr(verify, "_KZH_SELECTED", verify._KZH_SELECTED[:-1])
+    rep = verify_kzh_perturbation_rank()
+    assert rep.status == REFUTED
+    assert rep.witness == "rank 38 of 39 variables; expected full rank 39"
+    assert rep.statistics == {"components": 2, "uncovered": _KZH_UNCOVERED,
+                              "n_vars": 39, "n_rows": 38, "rank": 38,
+                              "nullity": 1}
+
+
+def test_kzh_rank_refutes_a_selection_with_a_row_twice(monkeypatch):
+    monkeypatch.setattr(verify, "_KZH_SELECTED",
+                        verify._KZH_SELECTED + verify._KZH_SELECTED[:1])
+    rep = verify_kzh_perturbation_rank()
+    assert rep.status == REFUTED
+    assert rep.witness == (
+        "dropping row 0 (F([0,101/5000],{19/100},{40294/201875})"
+        "(7751/807500,19/100)) leaves rank 39, so it was redundant")
+    assert rep.statistics["drop_one_ranks"] == [38, 39]
+    assert rep.statistics["n_rows"] == 40
+    assert "full_nullity" not in rep.statistics
+
+
+def test_kzh_rank_refutes_a_full_system_without_symmetry_rows(monkeypatch):
+    monkeypatch.setattr(perturbation._Parametrization, "symmetry_rows",
+                        lambda self: [])
+    rep = verify_kzh_perturbation_rank()
+    assert rep.status == REFUTED
+    assert rep.witness == "without symmetry elimination the nullity is 41"
+    assert rep.statistics["full_n_vars"] == 80
+    assert rep.statistics["full_nullity"] == 41
+    assert rep.statistics["drop_one_ranks"] == [38]
+
+
+def _install_sigma(monkeypatch, edit):
+    """Make the lifted suite check a lift whose sigma_class(t) is
+    edit(t, (sigma, class)) of the true lift."""
+    lifted = catalog.LiftedFunction()
+    true = lifted.sigma_class
+    monkeypatch.setattr(lifted, "sigma_class", lambda t: edit(t, true(t)),
+                        raising=False)
+    monkeypatch.setattr(catalog, "lifted_function", lambda: lifted)
+
+
+# what the lifted suite has gathered once it passed (a), (b) and (c)
+_LIFTED_ABC = {"nf0_faces": 16723, "preserved_faces": 19,
+               "broken_checked": 2118, "samples": 8965,
+               "coset_coverage": {"fixed_C": 5165, "minus": 2800,
+                                  "plus_Cplus": 2800},
+               "min_face_class_coverage": 100}
+
+
+def test_lifted_refutes_a_sigma_outside_the_specials(monkeypatch):
+    _install_sigma(monkeypatch, lambda t, true: (1, true[1]))
+    rep = verify_lifted()
+    assert rep.status == REFUTED
+    assert rep.witness == ("sigma(0) != 0 outside the special intervals "
+                           "(face F({0}, {0}, {0}))")
+    assert rep.statistics == {"nf0_faces": 1, "preserved_faces": 0,
+                              "broken_checked": 0, "samples": 0}
+
+
+def test_lifted_refutes_a_class_face_with_another_n_f(monkeypatch):
+    report = additive_face_report(kzh_function())
+    n = verify._lifted_face_classes(kzh_function())[0][1]
+    n_f = bytearray(report.n_f)
+    n_f[n] = 1
+    monkeypatch.setattr(report, "n_f", bytes(n_f))
+    rep = verify_lifted()
+    assert rep.status == REFUTED
+    assert rep.witness == ("class 1 face F([219/800, 269/800], {19/100}, "
+                           "[371/800, 421/800]) has dim 1, n_F 1")
+    assert rep.statistics == {"nf0_faces": 16723, "preserved_faces": 0,
+                              "broken_checked": 0, "samples": 0}
+
+
+def test_lifted_refutes_a_coset_class_sampled_too_thinly(monkeypatch):
+    # the first class face has 311 points on the fixed cosets
+    monkeypatch.setattr(verify, "MIN_PER_CLASS", 312)
+    rep = verify_lifted()
+    assert rep.status == REFUTED
+    assert rep.witness == (
+        "sampler covered some coset class fewer than 312 times on face "
+        "F([219/800, 269/800], {19/100}, [371/800, 421/800]): "
+        "{'fixed_C': 311, 'plus_Cplus': 624, 'minus': 624}")
+    assert rep.statistics == {"nf0_faces": 16723, "preserved_faces": 0,
+                              "broken_checked": 0, "samples": 935}
+
+
+_X = Q(27, 97)  # a probe of (d) and (e) inside the first special interval
+
+
+def test_lifted_refutes_a_sigma_breaking_symmetry(monkeypatch):
+    _install_sigma(monkeypatch, lambda t, true: (true[0] + 1, true[1])
+                   if t == _X else true)
+    rep = verify_lifted()
+    assert rep.status == REFUTED
+    assert rep.witness == "symmetry fails at 27/97: sum 24017/23998"
+    assert rep.statistics == _LIFTED_ABC
+
+
+def test_lifted_refutes_a_sigma_beyond_s(monkeypatch):
+    f = catalog.kzh_params().f
+    _install_sigma(monkeypatch, lambda t, true: (2 * true[0], true[1])
+                   if t in (_X, f - _X) else true)
+    rep = verify_lifted()
+    assert rep.status == REFUTED
+    assert rep.witness == "|lift - base| = 19/11999 > s at 27/97"
+    assert rep.statistics == _LIFTED_ABC
+
+
+def test_lifted_refutes_a_zero_sigma(monkeypatch):
+    _install_sigma(monkeypatch, lambda t, true: (0, true[1]))
+    rep = verify_lifted()
+    assert rep.status == REFUTED
+    assert rep.witness == "maximal deviation 0 never reaches s = 19/23998"
+    assert rep.statistics == {**_LIFTED_ABC, "max_deviation": "0"}
