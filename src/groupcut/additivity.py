@@ -18,14 +18,13 @@ finitely many vertex slacks:
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import compress, product
 from typing import NamedTuple
 
-from .complex2d import Complex2D, Face2D, n_f
+from .complex2d import Complex2D, Face2D, _narrow, n_f
 from .exactnum import QNum
 from .pwl import AT, MINUS, PLUS, PwlFunction
 
@@ -251,7 +250,7 @@ def _sweep(fn: PwlFunction, cx: Complex2D) -> _Classifications:
     shared: dict[tuple[int, ...], int] = {}
     slack_sides: list[tuple] = []
     status: list[str] = []
-    kind = array("I")
+    kind = []
     for (x0, x1, y0, y1, s0, s1), points in faces:
         # side + 1 of a coordinate at the lower end of its projection:
         # plus on a proper interval, at on a point
@@ -280,7 +279,7 @@ def _sweep(fn: PwlFunction, cx: Complex2D) -> _Classifications:
             slack_sides.append(data)
             status.append(_status(data[::2]))
         kind.append(k)
-    return _Classifications(cx.faces, kind, slack_sides, status)
+    return _Classifications(cx.faces, _narrow(kind), slack_sides, status)
 
 
 def additive_face_report(fn: PwlFunction) -> AdditivityReport:

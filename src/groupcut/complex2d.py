@@ -13,8 +13,8 @@ six sides in the three directions x, y, x+y; its extreme points are
 computed exactly.  The complex is enumerated on integer ranks: each sum
 of two breakpoints is ranked once against the points of [0,2], and every
 vertex and projection test compares ranks.  The complex keeps that rank
-table and the integer key of each distinct vertex, and works out every
-face's keys again for each slack sweep that asks (``Complex2D.keys``), so
+table, the integer key of each distinct vertex and the projection-end
+keys of each face, which every slack sweep reads (``Complex2D.keys``), so
 the analyses of any number of functions over one breakpoint set read one
 complex.
 """
@@ -26,7 +26,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, partial
-from itertools import pairwise
+from itertools import chain, pairwise, product
 from operator import itemgetter
 
 from .exactnum import QNum, format_qnum
@@ -173,22 +173,35 @@ def _one_dim_faces(points: list[QNum]) -> tuple[Interval, ...]:
     return tuple(faces)
 
 
+def _narrow(values) -> array:
+    """The ints of values, none negative, in the narrowest array type that
+    holds them all."""
+    top = max(values, default=0)
+    return array(next(c for c in "BHIQ" if top < 256 ** array(c).itemsize),
+                 values)
+
+
 def _enumerate(cx: Complex2D):
     """The faces over the grid P (points_x) and G (points_k), in order,
-    the rank table and the key of each distinct vertex.
+    the rank table, the key of each distinct vertex and the projection-end
+    keys of each face.
 
     Each sum P[i] + P[j] is ranked once against G: 2k + 1 when it equals
     G[k], else twice the number of points of G below it.  The sum lies in
     [G[ka], G[kb]] iff 2 ka + 1 <= rank <= 2 kb + 1, so every test of
-    ``polygon_vertices`` is an int compare.  A coordinate is keyed by
-    indices: an x or y key v < n is P[v] and n + k n + j is G[k] - P[j],
-    a sum key w < m is G[w] and m + i n + j is P[i] + P[j].  A vertex is
-    keyed x_key * W + y_key, with its coordinate put on a breakpoint
-    whenever it equals one, so equal keys are equal points and point sets
-    deduplicate on sorted keys.  Values are built once per distinct key,
-    and each distinct value is one object (``diagram._encode`` relies on it).
-    Sum keys are offset by W where they share one key space with x and y
-    keys: in ``value``, in the projection spans and in ``Complex2D.keys``.
+    ``polygon_vertices`` is an int compare, and so is the test that skips
+    a triple repeating an earlier one's points (``_add_faces``).  A
+    coordinate is keyed by indices: an x or y key v < n is P[v] and
+    n + k n + j is G[k] - P[j], a sum key w < m is G[w] and m + i n + j is
+    P[i] + P[j].  A vertex is keyed x_key * W + y_key, with its coordinate
+    put on a breakpoint whenever it equals one, so equal keys are equal
+    points and point sets deduplicate on sorted keys.  Each distinct
+    coordinate value is built once, as one object (``diagram._encode``
+    relies on it), and the distinct values are sorted once: a face's
+    vertices are ordered by the ranks of their x and y values, and a
+    projection is found by the ranks of its ends.  Sum keys are offset by
+    W where they share one key space with x and y keys: in the end keys
+    and in ``Complex2D.keys``.
     """
     P, G, faces_x, faces_k = cx.points_x, cx.points_k, cx.faces_x, cx.faces_k
     n, m = len(P), len(G)
@@ -200,97 +213,108 @@ def _enumerate(cx: Complex2D):
             rank[i * n + j] = rank[j * n + i] = (2 * k + 1 if G[k] == s
                                                  else 2 * k)
     W = n + m * n
-    found: dict[tuple[int, ...], tuple[int, int, int]] = {}
-    for fi in range(2 * n - 1):  # in increasing (fi, fj, fk) order
-        _add_faces(found, rank, n, W, fi, range(2 * n - 1), range(2 * m - 1))
-
-    same = {g: g for g in G}.setdefault  # one object per distinct value
-    values: dict[int, QNum] = {}
-
-    def value(key):  # a sum key w is passed as W + w
-        v = values.get(key)
-        if v is None:
-            v = cx.coordinate(key)[0]
-            v = values[key] = same(v, v)
-        return v
-
+    found = _add_faces(rank, n, m)
+    nx, nk = len(faces_x), len(faces_k)
+    triples = [(fi * nx + fj) * nk + fk for fi, fj, fk in found.values()]
+    ends = [e for t in _end_keys(rank, n, m, triples, nx, nk) for e in t]
+    # each distinct vertex key -> its position among the points
+    point_of = {vk: i for i, vk in enumerate(dict.fromkeys(chain(*found)))}
+    xys = [divmod(vk, W) for vk in point_of]
+    distinct = {g: g for g in G}  # one object per distinct value
+    value = {}
+    for c in {c for xy in xys for c in xy}.union(ends):
+        v = cx.coordinate(c)[0]
+        value[c] = distinct.setdefault(v, v)
+    # the rank of each distinct value, by id as each is one object
+    order = {id(v): r for r, v in enumerate(sorted(distinct))}
+    at = {c: order[id(v)] for c, v in value.items()}  # key -> value's rank
+    points = [(value[x], value[y]) for x, y in xys]
+    place = [at[x] * len(order) + at[y] for x, y in xys]  # orders points
+    starts, verts = [0], []
+    for key in found:
+        verts.extend(sorted(map(point_of.__getitem__, key),
+                            key=place.__getitem__))
+        starts.append(len(verts))
     # the projection intervals, each distinct value once, by position
     intervals = list(faces_x + faces_k)
-    by_value = {}
+    by_ends: dict[tuple[int, int], int] = {}
     for i, iv in enumerate(intervals):
-        by_value.setdefault((iv.a, iv.b), i)
-    spans: dict[tuple[int, int], int] = {}
-
-    def span(a, b):
-        i = spans.get((a, b))
-        if i is None:
-            lo, hi = value(a), value(b)
-            i = by_value.get((lo, hi))
-            if i is None:
-                i = by_value[lo, hi] = len(intervals)
-                intervals.append(Interval(lo, hi))
-            spans[a, b] = i
-        return i
-
-    point_at: dict[int, Point] = {}  # vertex key -> its point
-    point_of: dict[int, int] = {}  # vertex key -> position in point_at
-    # the face store's arrays (see _FaceStore)
-    triples, proj, starts, verts = (array("Q"), array("I"), array("I", [0]),
-                                    array("I"))
-    nx, nk = len(faces_x), len(faces_k)
-    for key, (fi, fj, fk) in found.items():
-        for vk in key:
-            if vk not in point_of:
-                x, y = divmod(vk, W)
-                point_of[vk] = len(point_at)
-                point_at[vk] = (value(x), value(y))
-        triples.append((fi * nx + fj) * nk + fk)
-        verts.extend(map(point_of.__getitem__,
-                         sorted(key, key=point_at.__getitem__)))
-        starts.append(len(verts))
-    for x0, x1, y0, y1, s0, s1 in _end_keys(rank, n, m, triples, nx, nk):
-        proj.extend((span(x0, x1), span(y0, y1), span(s0, s1)))
-    store = _FaceStore(faces_x, faces_k, intervals, list(point_at.values()),
-                       triples, proj, starts, verts)
-    return store, rank, array("q", point_at)
+        by_ends.setdefault((order[id(iv.a)], order[id(iv.b)]), i)
+    proj = []
+    pairs = iter(ends)
+    for a, b in zip(pairs, pairs):
+        i = by_ends.setdefault((at[a], at[b]), len(intervals))
+        if i == len(intervals):
+            intervals.append(Interval(value[a], value[b]))
+        proj.append(i)
+    store = _FaceStore(faces_x, faces_k, intervals, points, _narrow(triples),
+                       _narrow(proj), _narrow(starts), _narrow(verts))
+    return store, rank, _narrow(point_of), _narrow(ends)
 
 
-def _add_faces(found, rank, n, W, fi, fjs, fks) -> None:
-    """Set ``found[keys] = (fi, fj, fk)`` for each nonempty F(I, J, K), I
-    the cell fi over P, J a cell fj in fjs over P and K a cell fk in fks
-    over G, with keys its sorted vertex keys (``_enumerate``), unless
-    ``found`` has them: the first triple tried represents a point set."""
-    ia, ib = fi >> 1, (fi + 1) >> 1
-    xs = (ia, ib) if ia != ib else (ia,)
-    for fj in fjs:
-        ja, jb = fj >> 1, (fj + 1) >> 1
-        ys = (ja, jb) if ja != jb else (ja,)
-        lo, hi = rank[ia * n + ja], rank[ib * n + jb]
-        # the K with K.b >= P[ia] + P[ja] and K.a <= P[ib] + P[jb]
-        for fk in range(max(fks.start, (lo >> 1) * 2 - 1),
-                        min(fks.stop, hi + (hi & 1))):
-            ka, kb = fk >> 1, (fk + 1) >> 1
-            ta, tb = 2 * ka + 1, 2 * kb + 1
-            verts = set()
-            for i in xs:
-                for j in ys:
-                    if ta <= rank[i * n + j] <= tb:
-                        verts.add(i * W + j)
-            for t, k in ((ta, ka), (tb, kb)) if ka != kb else ((ta, ka),):
-                for i in xs:  # x = P[i], y = G[k] - P[i] in J
-                    ra, rb = rank[i * n + ja], rank[i * n + jb]
-                    if ra <= t <= rb:
-                        verts.add(i * W + (ja if ra == t else jb if rb == t
-                                           else n + k * n + i))
-                for j in ys:  # y = P[j], x = G[k] - P[j] in I
-                    ra, rb = rank[ia * n + j], rank[ib * n + j]
-                    if ra <= t <= rb:
-                        verts.add((ia if ra == t else ib if rb == t
-                                   else n + k * n + j) * W + j)
-            if verts:
-                key = tuple(sorted(verts))
-                if key not in found:
+def _add_faces(rank, n, m) -> dict[tuple[int, ...], tuple[int, int, int]]:
+    """Each nonempty point set F(I, J, K), as its sorted vertex keys
+    (``_enumerate``) -> the first triple (fi, fj, fk) in increasing order
+    that has it, for the cells I, J over P and K over G.
+
+    A triple is skipped before its vertex set is built when ranks prove
+    that an earlier triple has its points: an edge cell on which the set
+    lies at its lower end (then the point cell below has the same set),
+    or a point cell onto which the edge cell below it projects.  Any other
+    repeat is found in the dict.
+    """
+    W = n + m * n
+    found: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    for fi in range(2 * n - 1):
+        ia, ib = fi >> 1, (fi + 1) >> 1
+        for fj in range(2 * n - 1):
+            ja, jb = fj >> 1, (fj + 1) >> 1
+            lo, hi = rank[ia * n + ja], rank[ib * n + jb]
+            rx, ry = rank[ib * n + ja], rank[ia * n + jb]
+            low = ia == ib > 0 or ja == jb > 0  # a point I or J after 0
+            # the K with K.b >= P[ia] + P[ja] and K.a < P[ib] + P[jb]: the
+            # edge K with K.a = P[ib] + P[jb] has the points of {K.a}
+            for fk in range(max(0, (lo >> 1) * 2 - 1), hi):
+                ka, kb = fk >> 1, (fk + 1) >> 1
+                ta, tb = 2 * ka + 1, 2 * kb + 1
+                # skipped when an earlier triple has the same points: for
+                # an edge I (J) whose set lies at x = P[ia] (y = P[ja]),
+                # the point cell below it; for a point K = {G[ka]} with no
+                # sum below G[ka], or with I or J a point whose edge cell
+                # below reaches only G[ka], the edge cell below K, I or J
+                if (lo == tb and (rx > tb or ry > tb)
+                        or ka == kb and (ka and lo == ta or low and hi == ta)):
+                    continue
+                key = _face_keys(rank, n, W, fi, fj, fk)
+                if key and key not in found:
                     found[key] = (fi, fj, fk)
+    return found
+
+
+def _face_keys(rank, n, W, fi, fj, fk) -> tuple[int, ...]:
+    """The sorted vertex keys of F(I, J, K) for the cells fi, fj over P
+    and fk over G; empty when the set is.  A vertex is a corner of the box
+    I x J whose sum is in K, or the point where a line x + y = G[k] through
+    an end of K crosses the inside of a side of the box."""
+    ia, ib, ja, jb = fi >> 1, (fi + 1) >> 1, fj >> 1, (fj + 1) >> 1
+    ka, kb = fk >> 1, (fk + 1) >> 1
+    ta, tb = 2 * ka + 1, 2 * kb + 1
+    lo, rx = rank[ia * n + ja], rank[ib * n + ja]
+    ry, hi = rank[ia * n + jb], rank[ib * n + jb]
+    verts = {i * W + j for i, j, r in ((ia, ja, lo), (ib, ja, rx),
+                                       (ia, jb, ry), (ib, jb, hi))
+             if ta <= r <= tb}
+    for t, k in ((ta, ka), (tb, kb)):
+        g = n + k * n  # + j: the key of G[k] - P[j]
+        if lo < t < ry:  # on x = P[ia]
+            verts.add(ia * W + g + ia)
+        if rx < t < hi:  # on x = P[ib]
+            verts.add(ib * W + g + ib)
+        if lo < t < rx:  # on y = P[ja]
+            verts.add((g + ja) * W + ja)
+        if ry < t < hi:  # on y = P[jb]
+            verts.add((g + jb) * W + jb)
+    return tuple(sorted(verts))
 
 
 def _end_keys(rank, n, m, triples, nx, nk):
@@ -323,8 +347,9 @@ class _FaceStore(Sequence):
     faces, packed as (fi * len(faces_x) + fj) * len(faces_k) + fk in
     ``triples``, of its three projections among the distinct intervals
     (``proj``) and of its vertices among the distinct points
-    (``verts[starts[n]:starts[n + 1]]``): about 30 bytes, where a built
-    kzh face takes 112.  Faces are in increasing (I, J, K) order.
+    (``verts[starts[n]:starts[n + 1]]``), each array of the narrowest type
+    that holds its values: about 16 bytes on kzh, where a built face
+    takes 112.  Faces are in increasing (I, J, K) order.
     """
 
     __slots__ = ("_faces_x", "_faces_k", "_intervals", "_points",
@@ -401,15 +426,17 @@ class Complex2D:
         points_k = list(self.points_x) + [p + 1 for p in bk[1:]] + [QNum(2)]
         self.points_k: tuple[QNum, ...] = tuple(points_k)
         self.faces_k = _one_dim_faces(points_k)
-        self.faces, self._rank, self._vertex_keys = _enumerate(self)
+        (self.faces, self._rank, self._vertex_keys,
+         self._ends) = _enumerate(self)
 
     def keys(self):
-        """The faces' integer keys, worked out anew for each sweep: coords,
-        the x, y and x + y keys of each distinct point, and for each face
-        in order its projection-end keys x0, x1, y0, y1, s0, s1 and the
-        positions of its vertices among the points.  Equal keys are equal
-        coordinates, and a coordinate on a breakpoint is keyed as one, so
-        a vertex's side on a projection is an int compare with the ends.
+        """The faces' integer keys for a sweep: coords, the x, y and x + y
+        keys of each distinct point, and for each face in order its
+        projection-end keys x0, x1, y0, y1, s0, s1, kept from the
+        enumeration, and the positions of its vertices among the points.
+        Equal keys are equal coordinates, and a coordinate on a breakpoint
+        is keyed as one, so a vertex's side on a projection is an int
+        compare with the ends.
         """
         rank, n, m = self._rank, len(self.points_x), len(self.points_k)
         W = n + m * n
@@ -423,10 +450,8 @@ class Complex2D:
                 s = r >> 1 if r & 1 else m + x * n + y
             coords.append((x, y, W + s))
         starts, verts = self.faces._starts, self.faces._verts
-        return coords, zip(
-            _end_keys(rank, n, m, self.faces._triples, len(self.faces_x),
-                      len(self.faces_k)),
-            (verts[a:b] for a, b in pairwise(starts)))
+        return coords, zip(zip(*[iter(self._ends)] * 6),
+                           (verts[a:b] for a, b in pairwise(starts)))
 
     def coordinate(self, key: int) -> tuple[QNum, int | None]:
         """The coordinate of a key (a sum key w as W + w), and the index,
@@ -449,21 +474,21 @@ class Complex2D:
     def _position(self, fi: int, fj: int, fk: int) -> int:
         """Position in ``faces`` of the face with the points of F(I, J, K)
         for cells fi, fj, fk.  A stored triple represents its own points.
-        Any other shares its vertex keys with the first triple tried within
-        two cells of it per coordinate, as both hold the set's projections."""
+        Any other shares its vertex keys with the first triple that has
+        them, which lies within two cells of it per coordinate, as both
+        hold the set's projections."""
         if (n := self.faces.position(fi, fj, fk)) is not None:
             return n
         nx, nk, size = len(self.faces_x), len(self.faces_k), len(self.points_x)
         args = (self._rank, size, size + len(self.points_k) * size)
-        mine, near = {}, {}
-        _add_faces(mine, *args, fi, range(fj, fj + 1), range(fk, fk + 1))
+        mine = _face_keys(*args, fi, fj, fk)
         if not mine:
             raise ValueError(f"F({self.faces_x[fi]}, {self.faces_x[fj]}, "
                              f"{self.faces_k[fk]}) is empty")
-        for i in range(max(fi - 2, 0), min(fi + 3, nx)):
-            _add_faces(near, *args, i, range(max(fj - 2, 0), min(fj + 3, nx)),
-                       range(max(fk - 2, 0), min(fk + 3, nk)))
-        n = self.faces.position(*near[next(iter(mine))])
+        near = product(*(range(max(c - 2, 0), min(c + 3, top))
+                         for c, top in ((fi, nx), (fj, nx), (fk, nk))))
+        n = self.faces.position(*next(
+            cells for cells in near if _face_keys(*args, *cells) == mine))
         if n is None:
             raise ArithmeticError(f"cells {fi, fj, fk} have no stored face")
         return n

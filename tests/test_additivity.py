@@ -183,10 +183,11 @@ def test_key_sweep_reads_an_end_on_a_breakpoint_as_that_breakpoint():
     _assert_sweep_is_the_reference(fn)
 
 
-# a kept kzh analysis after one classification_of, measured at 2,188,589
+# a kept kzh analysis after one classification_of, measured at 2,046,471
 # bytes (sys.getsizeof of every object the report reaches, its function
-# included) and 17,578 reachable gc-tracked objects
-KZH_ANALYSIS_BYTES = 2_188_589
+# included; the face store's arrays and the sweep's kinds in their
+# narrowest types) and 17,578 reachable gc-tracked objects
+KZH_ANALYSIS_BYTES = 2_046_471
 KZH_ANALYSIS_OBJECTS = 17_578
 
 

@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupcut import complex2d
+from groupcut.catalog import kzh_function, psi_function
 from groupcut.exactnum import QNum
 from groupcut.pwl import PwlFunction
-from groupcut.complex2d import (Complex2D, Face2D, Interval, ccw_hull_order,
-                                centroid, make_face, n_f, polygon_vertices)
+from groupcut.complex2d import (Complex2D, Face2D, Interval, _end_keys,
+                                ccw_hull_order, centroid, make_face, n_f,
+                                polygon_vertices)
 
-from helpers import gmic, reference_faces
+from helpers import composed, convex_minimal_family, gmic, reference_faces
 
 H = Fraction(1, 2)
 
@@ -198,6 +201,79 @@ def test_complex_matches_reference_on_grids(bk):
 @given(sqrt2_breakpoints)
 def test_complex_matches_reference_over_q_sqrt2(bk):
     assert tuple(Complex2D(bk).faces) == reference_faces(bk)
+
+
+def _larger_grids():
+    """Up to 10 breakpoints on a 1/N grid, sets symmetric about a grid f
+    (x -> f - x mod 1 maps each to the set), and the breakpoint sets of
+    convex_minimal_family, up to 18 breakpoints on 1/n grids, n <= 48:
+    inputs where sums land on breakpoints and cell triples with one point
+    set pile up."""
+    rng = random.Random(20261021)
+    for size in (6, 8, 10):
+        N = rng.randrange(size + 2, 40)
+        ks = sorted(rng.sample(range(1, N), size - 1))
+        yield [Fraction(0)] + [Fraction(k, N) for k in ks]
+    for N, a in ((12, 5), (20, 7)):  # f = a/N
+        ks = {0, a}
+        while len(ks) < 9:
+            k = rng.randrange(1, N)
+            ks |= {k, (a - k) % N}
+        yield [Fraction(k, N) for k in sorted(ks)]
+    seen = set()
+    for fn, _, _ in convex_minimal_family(1, 6):
+        if len(fn.breakpoints) <= 18 and fn.breakpoints not in seen:
+            seen.add(fn.breakpoints)
+            yield list(fn.breakpoints)
+
+
+LARGER_GRIDS = list(_larger_grids())
+
+
+@pytest.mark.parametrize("bk", LARGER_GRIDS)
+def test_complex_matches_reference_on_larger_grids(bk):
+    assert tuple(Complex2D(bk).faces) == reference_faces(bk)
+
+
+def test_the_kept_end_keys_are_those_of_each_face_triple():
+    assert len(LARGER_GRIDS) == 9 and max(map(len, LARGER_GRIDS)) == 18
+    for bk in LARGER_GRIDS + [psi_function().breakpoints]:
+        cx = Complex2D(bk)
+        nx, nk = len(cx.faces_x), len(cx.faces_k)
+        triples = [(fi * nx + fj) * nk + fk for fi, fj, fk in cx.faces.cells()]
+        ends = list(_end_keys(cx._rank, len(cx.points_x), len(cx.points_k),
+                              triples, nx, nk))
+        _, faces = cx.keys()
+        assert [e for e, _ in faces] == ends
+        for keys, face in zip(ends, cx.faces):
+            assert [cx.coordinate(k)[0] for k in keys] == [
+                face.p1.a, face.p1.b, face.p2.a, face.p2.b, face.p3.a,
+                face.p3.b]
+
+
+def _vertex_sets_built(monkeypatch, breakpoints) -> tuple[int, int]:
+    """How many cell triples get a vertex set while the complex of the
+    breakpoints is built, and how many faces it has."""
+    calls = []
+    real = complex2d._face_keys
+    monkeypatch.setattr(complex2d, "_face_keys",
+                        lambda *args: calls.append(args) or real(*args))
+    cx = Complex2D(breakpoints)
+    return len(calls), len(cx.faces)
+
+
+def test_few_cell_triples_get_a_vertex_set(monkeypatch):
+    """A triple that rank compares prove to repeat an earlier one's points
+    is skipped before its vertex set is built."""
+    psi = psi_function()
+    fns = [gmic(Fraction(2, 5) / k, k, Fraction(2, 5)) for k in (2, 3, 4, 5)]
+    fns += [composed(psi, k, psi.f / k) for k in (1, 2, 3)]
+    for fn in fns:
+        built, faces = _vertex_sets_built(monkeypatch, fn.breakpoints)
+        assert faces <= built <= 1.2 * faces
+    built, faces = _vertex_sets_built(monkeypatch,
+                                      kzh_function().breakpoints)
+    assert faces == 18155 and built <= 18_500
 
 
 def test_faces_share_one_object_per_point_and_projection():
