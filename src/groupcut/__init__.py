@@ -12,7 +12,7 @@ from .pwl import (BreakpointRow, PwlFunction, MINUS, AT, PLUS,
                   parse_text, to_text, save, load)
 from .complex2d import Interval, Face2D, Complex2D, n_f
 from .additivity import (ADDITIVE, LIMIT_ADDITIVE, NON_ADDITIVE,
-                         additive_face_report, classify_face, e_containment,
+                         additive_face_report, e_containment,
                          minimality_test, slack_at)
 from .covering import components as covering_components
 from .perturbation import (LinearSystem, build_system, drop_one_ranks,
@@ -31,7 +31,7 @@ __all__ = [
     "parse_text", "to_text", "save", "load",
     "Interval", "Face2D", "Complex2D", "n_f",
     "ADDITIVE", "LIMIT_ADDITIVE", "NON_ADDITIVE",
-    "additive_face_report", "classify_face", "e_containment",
+    "additive_face_report", "e_containment",
     "minimality_test", "slack_at",
     "covering_components",
     "LinearSystem", "build_system", "drop_one_ranks",

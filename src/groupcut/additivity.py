@@ -187,17 +187,6 @@ class AdditivityReport:
         return self.faces[self.complex._find(face.I, face.J, face.K)]
 
 
-def classify_face(fn: PwlFunction, face: Face2D) -> FaceClassification:
-    """Classify one face by ``fn.limit`` at each vertex: the reference
-    that the key sweep of ``additive_face_report`` is tested against."""
-    data = []
-    for u, v in face.vertices:
-        s = u + v
-        sides = _sides(face, u, v, s)
-        data += (_slack(fn.limit, u, v, s, sides), sides)
-    return FaceClassification(face, tuple(data), _status(data[::2]))
-
-
 def _status(slacks) -> str:
     zeros = sum(slack == 0 for slack in slacks)
     if zeros == len(slacks):

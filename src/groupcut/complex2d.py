@@ -213,10 +213,7 @@ def _enumerate(cx: Complex2D):
             rank[i * n + j] = rank[j * n + i] = (2 * k + 1 if G[k] == s
                                                  else 2 * k)
     W = n + m * n
-    found = _add_faces(rank, n, m)
-    nx, nk = len(faces_x), len(faces_k)
-    triples = [(fi * nx + fj) * nk + fk for fi, fj, fk in found.values()]
-    ends = [e for t in _end_keys(rank, n, m, triples, nx, nk) for e in t]
+    found, ends = _add_faces(rank, n, m)
     # each distinct vertex key -> its position among the points
     point_of = {vk: i for i, vk in enumerate(dict.fromkeys(chain(*found)))}
     xys = [divmod(vk, W) for vk in point_of]
@@ -247,15 +244,20 @@ def _enumerate(cx: Complex2D):
         if i == len(intervals):
             intervals.append(Interval(value[a], value[b]))
         proj.append(i)
-    store = _FaceStore(faces_x, faces_k, intervals, points, _narrow(triples),
-                       _narrow(proj), _narrow(starts), _narrow(verts))
+    store = _FaceStore(faces_x, faces_k, intervals, points,
+                       *map(_narrow, (found.values(), proj, starts, verts)))
     return store, rank, _narrow(point_of), _narrow(ends)
 
 
-def _add_faces(rank, n, m) -> dict[tuple[int, ...], tuple[int, int, int]]:
+def _add_faces(rank, n, m) -> tuple[dict[tuple[int, ...], int], list[int]]:
     """Each nonempty point set F(I, J, K), as its sorted vertex keys
     (``_enumerate``) -> the first triple (fi, fj, fk) in increasing order
-    that has it, for the cells I, J over P and K over G.
+    that has it, for the cells I, J over P and K over G, packed as
+    (fi * (2n - 1) + fj) * (2m - 1) + fk; and per set, in order, the end
+    keys x0, x1, y0, y1, s0, s1 of the projections p1 = I & (K - J),
+    p2 = J & (K - I) and p3 = K & (I + J) of that triple, an end on a
+    breakpoint keyed as that breakpoint.  Both are recorded when a set is
+    first found, from the ranks of its triple.
 
     A triple is skipped before its vertex set is built when ranks prove
     that an earlier triple has its points: an edge cell on which the set
@@ -263,11 +265,12 @@ def _add_faces(rank, n, m) -> dict[tuple[int, ...], tuple[int, int, int]]:
     or a point cell onto which the edge cell below it projects.  Any other
     repeat is found in the dict.
     """
-    W = n + m * n
-    found: dict[tuple[int, ...], tuple[int, int, int]] = {}
-    for fi in range(2 * n - 1):
+    W, nx, nk = n + m * n, 2 * n - 1, 2 * m - 1
+    found: dict[tuple[int, ...], int] = {}
+    ends: list[int] = []
+    for fi in range(nx):
         ia, ib = fi >> 1, (fi + 1) >> 1
-        for fj in range(2 * n - 1):
+        for fj in range(nx):
             ja, jb = fj >> 1, (fj + 1) >> 1
             lo, hi = rank[ia * n + ja], rank[ib * n + jb]
             rx, ry = rank[ib * n + ja], rank[ia * n + jb]
@@ -287,8 +290,20 @@ def _add_faces(rank, n, m) -> dict[tuple[int, ...], tuple[int, int, int]]:
                     continue
                 key = _face_keys(rank, n, W, fi, fj, fk)
                 if key and key not in found:
-                    found[key] = (fi, fj, fk)
-    return found
+                    found[key] = (fi * nx + fj) * nk + fk
+                    ends += (ia if ry >= ta else ib if hi == ta
+                             else n + ka * n + jb,
+                             ib if rx <= tb else ia if lo == tb
+                             else n + kb * n + ja,
+                             ja if rx >= ta else jb if hi == ta
+                             else n + ka * n + ib,
+                             jb if ry <= tb else ja if lo == tb
+                             else n + kb * n + ia,
+                             W + (ka if lo <= ta else lo >> 1 if lo & 1
+                                  else m + ia * n + ja),
+                             W + (kb if hi >= tb else hi >> 1 if hi & 1
+                                  else m + ib * n + jb))
+    return found, ends
 
 
 def _face_keys(rank, n, W, fi, fj, fk) -> tuple[int, ...]:
@@ -315,29 +330,6 @@ def _face_keys(rank, n, W, fi, fj, fk) -> tuple[int, ...]:
         if ry < t < hi:  # on y = P[jb]
             verts.add((g + jb) * W + jb)
     return tuple(sorted(verts))
-
-
-def _end_keys(rank, n, m, triples, nx, nk):
-    """Per packed triple, the end keys x0, x1, y0, y1, s0, s1 of its face's
-    projections p1 = I & (K - J), p2 = J & (K - I) and p3 = K & (I + J); an
-    end on a breakpoint is keyed as that breakpoint."""
-    W = n + m * n
-    for t in triples:
-        ij, fk = divmod(t, nk)
-        fi, fj = divmod(ij, nx)
-        ia, ib, ja, jb = fi >> 1, (fi + 1) >> 1, fj >> 1, (fj + 1) >> 1
-        ka, kb = fk >> 1, (fk + 1) >> 1
-        ta, tb = 2 * ka + 1, 2 * kb + 1
-        r0, r1 = rank[ia * n + ja], rank[ib * n + jb]
-        rx, ry = rank[ib * n + ja], rank[ia * n + jb]
-        yield (ia if ry >= ta else ib if r1 == ta else n + ka * n + jb,
-               ib if rx <= tb else ia if r0 == tb else n + kb * n + ja,
-               ja if rx >= ta else jb if r1 == ta else n + ka * n + ib,
-               jb if ry <= tb else ja if r0 == tb else n + kb * n + ia,
-               W + (ka if r0 <= ta else r0 >> 1 if r0 & 1
-                    else m + ia * n + ja),
-               W + (kb if r1 >= tb else r1 >> 1 if r1 & 1
-                    else m + ib * n + jb))
 
 
 class _FaceStore(Sequence):

@@ -10,17 +10,18 @@ value negation cancel.
 
 The covering pass marks projection interiors as covered, merges strictly
 overlapping covered sub-intervals inside each piece, and propagates full
-intervals across moves until a fixed point.  Each fully covered piece is
-then labelled with the least piece that faces and moves connect it to, and
-the pieces of one label form a slope component.  Pieces never fully covered
-are reported uncovered.
+intervals across the distinct moves (a shift by 0 or 1 maps a span onto
+itself and is left out) to a fixed point.  Each fully covered piece is
+then labelled with the least full piece that faces and moves join it to,
+and the pieces of one label form a slope component.  Pieces never fully
+covered are reported uncovered.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import chain, combinations, compress, pairwise
 
 from .additivity import ADDITIVE, AdditivityReport
 from .exactnum import QNum
@@ -31,7 +32,7 @@ Span = tuple[QNum, QNum]  # an open interval
 @dataclass(frozen=True)
 class Move:
     kind: str  # "translation" | "reflection"
-    param: QNum  # the shift amount, or the reflection center
+    param: QNum  # the shift t of x -> x + t, or the r of x -> r - x
     src: Span
     dst: Span
 
@@ -52,8 +53,8 @@ def _reduce_span(a: QNum, b: QNum) -> Span:
 
 def _additive(report: AdditivityReport):
     """By position: the 2-D faces' reduced projection spans, in order, to
-    their pieces; each 1-D face's move with its ends' pieces; the pieces of
-    each 2-D face's projections.  No face is built."""
+    their pieces; each distinct move of the 1-D faces to its spans' pieces;
+    the pieces of each 2-D face's projections.  No face is built."""
     P = report.complex.points_x
     intervals, _, proj, starts, _ = report.complex.faces.ids()
     placed = {}
@@ -81,19 +82,22 @@ def _additive(report: AdditivityReport):
         direct.setdefault(span, k)
     links = {tuple(place(i)[2] for i in flat[t:t + 3])
              for t in range(0, len(flat), 3)}
-    moves = []
+    moves = {}  # each distinct move once -> the pieces of its spans
     for n in edges:
         (v1, s1, i), (v2, s2, j), (v3, s3, k) = map(place,
                                                     proj[3 * n:3 * n + 3])
         # an edge of the complex is vertical, horizontal, or antidiagonal
         if v3.is_point:
-            moves.append((Move("reflection", v3.a, s1, s2), i, j))
+            mv, pieces = Move("reflection", v3.a, s1, s2), (i, j)
         elif v1.is_point:
-            moves.append((Move("translation", v1.a, s2, s3), j, k))
+            mv, pieces = Move("translation", v1.a, s2, s3), (j, k)
         elif v2.is_point:
-            moves.append((Move("translation", v2.a, s1, s3), i, k))
+            mv, pieces = Move("translation", v2.a, s1, s3), (i, k)
         else:
             raise ArithmeticError(f"face {n} is not an edge of a complex")
+        # a shift by 0 or 1 maps its span onto itself and relates nothing
+        if mv.kind == "reflection" or mv.src != mv.dst:
+            moves.setdefault(mv, pieces)
     return direct, moves, links
 
 
@@ -144,11 +148,8 @@ def _build(report: AdditivityReport) -> CoveringResult:
     covers = [_PieceCover(lo, hi) for lo, hi in piece_spans]
     for (a, b), i in direct.items():
         covers[i].add(a, b)
-    # each distinct move both ways
-    arrows = []
-    for i, src, j, dst in dict.fromkeys((i, mv.src, j, mv.dst)
-                                        for mv, i, j in moves):
-        arrows += ((i, src, j, dst), (j, dst, i, src))
+    arrows = [arrow for mv, (i, j) in moves.items()  # each move both ways
+              for arrow in ((i, mv.src, j, mv.dst), (j, mv.dst, i, mv.src))]
 
     # propagate full source intervals across moves until stable
     changed = True
@@ -160,12 +161,20 @@ def _build(report: AdditivityReport) -> CoveringResult:
                 changed = True
 
     full = [c.full for c in covers]
-    # the full pieces joined by a 2-D face's projections or by a move; a
-    # partly covered piece does not carry one slope
-    joined = [(i, j) for i, j, _ in links] + [(i, k) for i, _, k in links]
-    joined += [(i, j) for i, _, j, _ in arrows[::2]]
-    pairs = [(i, j) for i, j in dict.fromkeys(joined) if full[i] and full[j]]
-    label = list(range(len(covers)))  # each piece's least connected piece
+    groups = _slope_classes(full, chain(links, moves.values()))
+    comps = [[piece_spans[i] for i in group] for group in groups]
+    uncov = [piece_spans[i] for i, ok in enumerate(full) if not ok]
+    return CoveringResult(comps, uncov, list(moves))
+
+
+def _slope_classes(full: list[bool], joined) -> list[list[int]]:
+    """The fully covered pieces, grouped by slope: each tuple of ``joined``
+    (the pieces of a 2-D face's projections, or of a move's spans) joins
+    every two full pieces in it.  A partly covered piece does not carry
+    one slope, so it joins nothing.  Groups are in order of least piece."""
+    pairs = {(i, j) for t in joined for i, j in combinations(t, 2)
+             if full[i] and full[j]}
+    label = list(range(len(full)))  # each piece's least connected piece
     changed = True
     while changed:
         changed = False
@@ -173,11 +182,7 @@ def _build(report: AdditivityReport) -> CoveringResult:
             if label[i] != label[j]:
                 label[i] = label[j] = min(label[i], label[j])
                 changed = True
-
-    groups: dict[int, list[int]] = {}
-    for i, ok in enumerate(full):
-        if ok:
-            groups.setdefault(label[i], []).append(i)
-    comps = [[piece_spans[i] for i in groups[k]] for k in sorted(groups)]
-    uncov = [piece_spans[i] for i, ok in enumerate(full) if not ok]
-    return CoveringResult(comps, uncov, [mv for mv, _, _ in moves])
+    groups: dict[int, list[int]] = {}  # in order, as label[i] <= i
+    for i in compress(range(len(full)), full):
+        groups.setdefault(label[i], []).append(i)
+    return list(groups.values())

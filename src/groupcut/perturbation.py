@@ -404,9 +404,8 @@ def lipschitz_epsilon(fn: PwlFunction, pert: PwlFunction) -> EpsilonResult:
         raise ValueError("perturbation does not vanish at f")
 
     slacks = _vertex_slacks(fn, pert)
-    m = min((dpi for _, dpi in slacks if dpi > 0), default=None)
-    if m is None:
-        raise ValueError("base function has no positive vertex slack")
+    # m exists: f is a breakpoint, and {(f, f)} has slack 2 - fn(2f) >= 1
+    m = min(dpi for _, dpi in slacks if dpi > 0)
     M = max(map(abs, slacks.values()))
     if M == 0:
         raise ValueError("perturbation is additive at every complex vertex; "

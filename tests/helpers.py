@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
+from groupcut.additivity import FaceClassification, _sides, _slack, _status
 from groupcut.complex2d import Interval, make_face
 from groupcut.exactnum import QNum, parse_qnum
 from groupcut.pwl import PwlFunction, BreakpointRow
@@ -494,6 +495,31 @@ def reference_faces(breakpoints) -> tuple:
     return tuple(by_points.values())
 
 
+def _end_keys(rank, n, m, triples, nx, nk):
+    """Per packed triple, the end keys x0, x1, y0, y1, s0, s1 of its face's
+    projections p1 = I & (K - J), p2 = J & (K - I) and p3 = K & (I + J),
+    decoded from the triple alone; an end on a breakpoint is keyed as that
+    breakpoint.  The reference of the end keys that the enumeration keeps
+    as it stores each face."""
+    W = n + m * n
+    for t in triples:
+        ij, fk = divmod(t, nk)
+        fi, fj = divmod(ij, nx)
+        ia, ib, ja, jb = fi >> 1, (fi + 1) >> 1, fj >> 1, (fj + 1) >> 1
+        ka, kb = fk >> 1, (fk + 1) >> 1
+        ta, tb = 2 * ka + 1, 2 * kb + 1
+        r0, r1 = rank[ia * n + ja], rank[ib * n + jb]
+        rx, ry = rank[ib * n + ja], rank[ia * n + jb]
+        yield (ia if ry >= ta else ib if r1 == ta else n + ka * n + jb,
+               ib if rx <= tb else ia if r0 == tb else n + kb * n + ja,
+               ja if rx >= ta else jb if r1 == ta else n + ka * n + ib,
+               jb if ry <= tb else ja if r0 == tb else n + kb * n + ia,
+               W + (ka if r0 <= ta else r0 >> 1 if r0 & 1
+                    else m + ia * n + ja),
+               W + (kb if r1 >= tb else r1 >> 1 if r1 & 1
+                    else m + ib * n + jb))
+
+
 # -- the analysis's readers by value ------------------------------------------
 # The covering, E-containment and epsilon code as it read the analysis by
 # value, face by face and slack record by slack record: the reference of the
@@ -510,6 +536,17 @@ def reference_format_qnum(x) -> str:
     if b > 0:
         return f"{a} + {b}*sqrt2"
     return f"{a} - {-b}*sqrt2"
+
+
+def classify_face(fn: PwlFunction, face):
+    """Classify one face by ``fn.limit`` at each vertex: the reference
+    that the key sweep of ``additive_face_report`` is tested against."""
+    data = []
+    for u, v in face.vertices:
+        s = u + v
+        sides = _sides(face, u, v, s)
+        data += (_slack(fn.limit, u, v, s, sides), sides)
+    return FaceClassification(face, tuple(data), _status(data[::2]))
 
 
 def _reference_reduce_span(a, b):
@@ -606,6 +643,7 @@ def reference_covering(report):
                for p in (fc.face.p1, fc.face.p2, fc.face.p3)]
         connect(ids[0], ids[1])
         connect(ids[0], ids[2])
+        connect(ids[1], ids[2])
     for i, _, j, _ in arrows[::2]:
         connect(i, j)
     groups = {}

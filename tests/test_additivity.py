@@ -12,15 +12,14 @@ from groupcut.exactnum import QNum
 from groupcut.pwl import BreakpointRow, PwlFunction, parse_text, to_text
 from groupcut.complex2d import Interval, _FaceStore, n_f
 from groupcut.additivity import (ADDITIVE, LIMIT_ADDITIVE, NON_ADDITIVE,
-                                 additive_face_report, classify_face,
-                                 e_containment, minimality_test,
-                                 slack_at)
+                                 additive_face_report, e_containment,
+                                 minimality_test, slack_at)
 from groupcut.catalog import (kzh_function, kzh_params, psi_function,
                               psi_prime_function)
 from groupcut.diagram import render_sidecar
 
-from helpers import (convex_minimal_family, random_pwl, retained,
-                     sampling_minimality_oracle)
+from helpers import (classify_face, convex_minimal_family, random_pwl,
+                     retained, sampling_minimality_oracle)
 
 H = Fraction(1, 2)
 Q = lambda *a: QNum(Fraction(*a))

@@ -2,17 +2,21 @@
 
 ``bench/tracing.py`` replaces groupcut functions and methods by name; a
 renamed target would only show when the benchmark runs with ``--trace 1``.
+The benchmark's own unit tests run here too, so that a change to a name or
+an output shape that ``bench/`` reads fails this suite.
 """
 
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
 
 from groupcut import additivity, catalog, covering, perturbation, pwl
 from helpers import grid_pairs
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "bench", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "bench", "tracing.py")
 
 
 def _load_tracing():
@@ -68,3 +72,10 @@ def test_tracer_counts_an_epsilon_pair():
     assert counts["perturbation.epsilon.calls"] == 2
     assert counts["covering.components.calls"] == 1
     assert counts["complex2d.build.calls"] == 2
+
+
+def test_the_bench_unit_tests_pass():
+    run = subprocess.run([sys.executable, "-m", "unittest", "discover", "-s",
+                          "bench", "-p", "test_*.py"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr

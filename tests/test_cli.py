@@ -99,7 +99,7 @@ def test_covering_output(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "component 0: (0, 1/8) (3/8, 1/2)"
     assert lines[1] == "uncovered: (1/8, 3/8) (1/2, 5/8) (5/8, 7/8) (7/8, 1)"
-    assert lines[2] == "moves: 36"
+    assert lines[2] == "moves: 10"
 
 
 def test_perturbation_rank_default(capsys):

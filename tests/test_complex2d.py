@@ -11,11 +11,11 @@ from groupcut import complex2d
 from groupcut.catalog import kzh_function, psi_function
 from groupcut.exactnum import QNum
 from groupcut.pwl import PwlFunction
-from groupcut.complex2d import (Complex2D, Face2D, Interval, _end_keys,
-                                ccw_hull_order, centroid, make_face, n_f,
-                                polygon_vertices)
+from groupcut.complex2d import (Complex2D, Face2D, Interval, ccw_hull_order,
+                                centroid, make_face, n_f, polygon_vertices)
 
-from helpers import composed, convex_minimal_family, gmic, reference_faces
+from helpers import (_end_keys, composed, convex_minimal_family, gmic,
+                     reference_faces)
 
 H = Fraction(1, 2)
 

@@ -1,14 +1,21 @@
 """Directly covered intervals, connections, and component structure."""
 
+import importlib.util
+import os
 from fractions import Fraction
 
 import pytest
 
 from groupcut.exactnum import QNum
-from groupcut.pwl import PwlFunction
+from groupcut.pwl import BreakpointRow, PwlFunction
 from groupcut.additivity import ADDITIVE, additive_face_report
-from groupcut.covering import _PieceCover, components
-from groupcut.catalog import kzh_function, psi_function
+from groupcut.covering import _PieceCover, _slope_classes, components
+from groupcut.catalog import kzh_function, psi_function, psi_prime_function
+
+from helpers import convex_minimal_family, reference_edge_connections
+
+GRIDGEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench", "gridgen.py")
 
 Q = lambda *a: QNum(Fraction(*a))
 
@@ -51,6 +58,50 @@ def test_moves_record_translation_and_reflection():
         assert QNum(0) <= a < b <= 1
         assert QNum(0) <= c < d <= 1
         assert (b - a) == (d - c)
+
+
+def _move_guard_functions():
+    """psi, psi_prime, kzh, the functions of random-grid passes 1-3 and
+    two seeds of the discontinuous convex family."""
+    yield from (psi_function(), psi_prime_function(), kzh_function())
+    spec = importlib.util.spec_from_file_location("bench_gridgen", GRIDGEN)
+    gridgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gridgen)
+    for seed in (1, 2, 3):
+        for g in gridgen.batch(seed)[0]:
+            yield PwlFunction([BreakpointRow.of(*r) for r in g.rows], g.f)
+    for seed in (1, 2):
+        yield from (fn for fn, _, _ in convex_minimal_family(seed, 6))
+
+
+def test_moves_are_distinct_relations():
+    """Each move is listed once, no translation maps a span onto itself,
+    and every reflection of an additive edge is kept, also one that maps
+    a piece onto itself."""
+    onto_itself = 0
+    for fn in _move_guard_functions():
+        report = additive_face_report(fn)
+        moves = components(report).moves
+        assert len(set(moves)) == len(moves)
+        assert all(m.src != m.dst and 0 < m.param < 1 for m in moves
+                   if m.kind == "translation")
+        mirrors = {m for m in reference_edge_connections(report)
+                   if m.kind == "reflection"}
+        assert mirrors <= set(moves)
+        onto_itself += sum(m.src == m.dst for m in mirrors)
+    assert onto_itself
+
+
+def test_a_face_over_a_partial_piece_joins_its_two_full_pieces():
+    # piece 0 is partly covered; one additive face projects into 0, 1, 2
+    assert _slope_classes([False, True, True], [(0, 1, 2)]) == [[1, 2]]
+
+
+def test_moves_from_a_partial_piece_join_nothing():
+    # two moves relate the partly covered piece 0 to the full pieces 1, 2
+    assert _slope_classes([False, True, True], [(0, 1), (0, 2)]) == [[1], [2]]
+    assert _slope_classes([True, False, True, True],
+                          [(1, 0), (2, 1), (3, 2)]) == [[0], [2, 3]]
 
 
 def test_covering_is_built_once_per_analysis():

@@ -24,7 +24,7 @@ def test_public_names_are_pinned():
         "parse_text", "to_text", "save", "load",
         "Interval", "Face2D", "Complex2D", "n_f",
         "ADDITIVE", "LIMIT_ADDITIVE", "NON_ADDITIVE",
-        "additive_face_report", "classify_face", "e_containment",
+        "additive_face_report", "e_containment",
         "minimality_test", "slack_at",
         "covering_components",
         "LinearSystem", "build_system", "drop_one_ranks",

@@ -78,8 +78,10 @@ def _assert_covering_as_reference(fn):
     new, old = components(report), reference_covering(ref)
     assert new.components == old.components
     assert new.uncovered == old.uncovered
-    assert [(m.kind, m.param, m.src, m.dst) for m in new.moves] == \
-        [(m.kind, m.param, m.src, m.dst) for m in old.moves]
+    # each distinct move once, and no shift of a span onto itself
+    assert [(m.kind, m.param, m.src, m.dst) for m in new.moves] == [
+        (m.kind, m.param, m.src, m.dst) for m in dict.fromkeys(old.moves)
+        if m.kind == "reflection" or m.src != m.dst]
 
 
 @pytest.mark.parametrize("breakpoints", [
