@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import compress, product
+from itertools import compress, pairwise, product
 from typing import NamedTuple
 
 from .complex2d import Complex2D, Face2D, _narrow, n_f
@@ -195,33 +195,32 @@ def _status(slacks) -> str:
 
 
 def _sweep(fn: PwlFunction, cx: Complex2D) -> _Classifications:
-    """Classify every face of cx on the integer keys of its enumeration.
+    """Classify every face of cx in the rank space of its coordinates.
 
-    The limits of each key are read once: a breakpoint's (left, value,
-    right) from its row, and any other coordinate, which lies inside a
-    piece, by one affine evaluation that holds for all three sides.  A
-    vertex's sides are int compares of its keys with the face's
-    projection-end keys.  Its slack is two QNum operations on limits, done
-    once per distinct triple of limit values, and slack values and slack
-    tuples are shared by value: kzh's 40,627 slacks take 5,975 such
-    triples, 388 values and 6,243 slack tuples.
+    The limits of each distinct coordinate value are read once: a
+    breakpoint's (left, value, right) from its row, and any other value,
+    which lies inside a piece, by one affine evaluation that holds for all
+    three sides.  A vertex's sides are int compares of its ranks with the
+    end ranks of the face's projections.  Its slack is two QNum operations
+    on limits, done once per distinct triple of limit values, and slack
+    values and slack tuples are shared by value: kzh's 40,627 slacks take
+    5,975 such triples, 388 values and 6,243 slack tuples.
     """
-    coords, faces = cx.keys()
     rows = fn.rows
     lim_index: dict[QNum, int] = {}  # each distinct limit value -> index
-    keys = {key for xys in coords for key in xys}
-    ids = [0] * (3 * max(keys) + 3)  # 3 key + side + 1 -> index
-    for key in keys:
-        t, r = cx.coordinate(key)
-        if r is None:
+    ids = []  # 3 rank + side + 1 -> index of that limit
+    for t, r in zip(cx._values, cx._value_rows):
+        if r < len(rows):
+            triple = (rows[r].left, rows[r].value, rows[r].right)
+        else:
             v = fn.limit(t, AT)
             triple = (v, v, v)
-        else:
-            triple = (rows[r].left, rows[r].value, rows[r].right)
-        for side, v in enumerate(triple):
-            ids[3 * key + side] = lim_index.setdefault(v, len(lim_index))
+        ids += (lim_index.setdefault(v, len(lim_index)) for v in triple)
     lims = list(lim_index)
     M = len(lims)
+    coords = list(zip(*[iter(cx._point_ranks)] * 3))  # x, y, x + y ranks
+    spans = list(zip(*[iter(cx._interval_ranks)] * 2))  # end ranks
+    _, _, proj, starts, verts = cx.faces.ids()
 
     slacks: list[QNum] = []  # the distinct slack values
     slack_index: dict[QNum, int] = {}
@@ -240,12 +239,14 @@ def _sweep(fn: PwlFunction, cx: Complex2D) -> _Classifications:
     slack_sides: list[tuple] = []
     status: list[str] = []
     kind = []
-    for (x0, x1, y0, y1, s0, s1), points in faces:
+    for (p1, p2, p3), (lo, hi) in zip(zip(*[iter(proj)] * 3),
+                                      pairwise(starts)):
+        (x0, x1), (y0, y1), (s0, s1) = spans[p1], spans[p2], spans[p3]
         # side + 1 of a coordinate at the lower end of its projection:
         # plus on a proper interval, at on a point
         lx, ly, ls = 1 + (x0 != x1), 1 + (y0 != y1), 1 + (s0 != s1)
         codes = []
-        for p in points:
+        for p in verts[lo:hi]:
             x, y, s = coords[p]
             sx = lx if x == x0 else 0 if x == x1 else 1
             sy = ly if y == y0 else 0 if y == y1 else 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import catalog
@@ -201,6 +202,11 @@ def _cmd_diagram(args) -> int:
     return 0
 
 
+# a minus and a digit or sqrt2 start a number in every shape of the grammar,
+# not an option; argparse's own matcher knows only -3 and -0.5
+_NEGATIVE_NUMBER = re.compile(r"-(?:[0-9]|sqrt2)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="groupcut",
@@ -213,12 +219,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("func")
     p.add_argument("x")
     p.set_defaults(run=_cmd_eval)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p = sub.add_parser("limit", help="one-sided limit at a point")
     p.add_argument("func")
     p.add_argument("x")
     p.add_argument("side", choices=sorted(SIDE_NAMES))
     p.set_defaults(run=_cmd_limit)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p = sub.add_parser("minimality", help="exact minimality test")
     p.add_argument("func")

@@ -13,10 +13,10 @@ six sides in the three directions x, y, x+y; its extreme points are
 computed exactly.  The complex is enumerated on integer ranks: each sum
 of two breakpoints is ranked once against the points of [0,2], and every
 vertex and projection test compares ranks.  The complex keeps that rank
-table, the integer key of each distinct vertex and the projection-end
-keys of each face, which every slack sweep reads (``Complex2D.keys``), so
-the analyses of any number of functions over one breakpoint set read one
-complex.
+table and one coordinate space: its distinct values sorted, so that each
+point's x, y and x + y and each interval's ends are ranks, which every
+slack sweep reads, so the analyses of any number of functions over one
+breakpoint set read one complex.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, partial
-from itertools import chain, pairwise, product
+from itertools import chain, product
 from operator import itemgetter
 
 from .exactnum import QNum, format_qnum
@@ -183,8 +183,10 @@ def _narrow(values) -> array:
 
 def _enumerate(cx: Complex2D):
     """The faces over the grid P (points_x) and G (points_k), in order,
-    the rank table, the key of each distinct vertex and the projection-end
-    keys of each face.
+    the rank table, and the rank space of the coordinates: the distinct
+    values sorted, per value the index mod 1 of the breakpoint it is (the
+    number of breakpoints inside a piece), the x, y and x + y ranks of
+    each point and the end ranks of each interval of the store.
 
     Each sum P[i] + P[j] is ranked once against G: 2k + 1 when it equals
     G[k], else twice the number of points of G below it.  The sum lies in
@@ -193,15 +195,14 @@ def _enumerate(cx: Complex2D):
     a triple repeating an earlier one's points (``_add_faces``).  A
     coordinate is keyed by indices: an x or y key v < n is P[v] and
     n + k n + j is G[k] - P[j], a sum key w < m is G[w] and m + i n + j is
-    P[i] + P[j].  A vertex is keyed x_key * W + y_key, with its coordinate
-    put on a breakpoint whenever it equals one, so equal keys are equal
-    points and point sets deduplicate on sorted keys.  Each distinct
-    coordinate value is built once, as one object (``diagram._encode``
-    relies on it), and the distinct values are sorted once: a face's
-    vertices are ordered by the ranks of their x and y values, and a
-    projection is found by the ranks of its ends.  Sum keys are offset by
-    W where they share one key space with x and y keys: in the end keys
-    and in ``Complex2D.keys``.
+    P[i] + P[j], offset by W where it shares one key space with x and y
+    keys.  A vertex is keyed x_key * W + y_key, with its coordinate put on
+    a breakpoint whenever it equals one, so equal keys are equal points
+    and point sets deduplicate on sorted keys.  Each key is decoded once,
+    each distinct value is one object (``diagram._encode`` relies on it),
+    and the distinct values are sorted once: a face's vertices are ordered
+    by the ranks of their x and y values, and a projection is found by the
+    ranks of its ends.
     """
     P, G, faces_x, faces_k = cx.points_x, cx.points_k, cx.faces_x, cx.faces_k
     n, m = len(P), len(G)
@@ -216,17 +217,36 @@ def _enumerate(cx: Complex2D):
     found, ends = _add_faces(rank, n, m)
     # each distinct vertex key -> its position among the points
     point_of = {vk: i for i, vk in enumerate(dict.fromkeys(chain(*found)))}
-    xys = [divmod(vk, W) for vk in point_of]
+    keys = []  # per point its x, y and x + y keys
+    for vk in point_of:
+        x, y = divmod(vk, W)
+        if x >= n or y >= n:  # on the line x + y = G[k]
+            s = (max(x, y) - n) // n
+        else:
+            r = rank[x * n + y]
+            s = r >> 1 if r & 1 else m + x * n + y
+        keys += (x, y, W + s)
     distinct = {g: g for g in G}  # one object per distinct value
     value = {}
-    for c in {c for xy in xys for c in xy}.union(ends):
-        v = cx.coordinate(c)[0]
+    for c in set(keys).union(ends):
+        if c < n:
+            v = P[c]
+        elif c < W:
+            k, j = divmod(c - n, n)
+            v = G[k] - P[j]
+        elif c < W + m:
+            v = G[c - W]
+        else:
+            i, j = divmod(c - W - m, n)
+            v = P[i] + P[j]
         value[c] = distinct.setdefault(v, v)
+    values = sorted(distinct)
     # the rank of each distinct value, by id as each is one object
-    order = {id(v): r for r, v in enumerate(sorted(distinct))}
+    order = {id(v): r for r, v in enumerate(values)}
     at = {c: order[id(v)] for c, v in value.items()}  # key -> value's rank
-    points = [(value[x], value[y]) for x, y in xys]
-    place = [at[x] * len(order) + at[y] for x, y in xys]  # orders points
+    ranks = [at[c] for c in keys]
+    points = [(value[x], value[y]) for x, y in zip(keys[::3], keys[1::3])]
+    place = [x * len(values) + y for x, y in zip(ranks[::3], ranks[1::3])]
     starts, verts = [0], []
     for key in found:
         verts.extend(sorted(map(point_of.__getitem__, key),
@@ -234,19 +254,25 @@ def _enumerate(cx: Complex2D):
         starts.append(len(verts))
     # the projection intervals, each distinct value once, by position
     intervals = list(faces_x + faces_k)
+    spans = [(order[id(iv.a)], order[id(iv.b)]) for iv in intervals]
     by_ends: dict[tuple[int, int], int] = {}
-    for i, iv in enumerate(intervals):
-        by_ends.setdefault((order[id(iv.a)], order[id(iv.b)]), i)
+    for i, span in enumerate(spans):
+        by_ends.setdefault(span, i)
     proj = []
     pairs = iter(ends)
     for a, b in zip(pairs, pairs):
-        i = by_ends.setdefault((at[a], at[b]), len(intervals))
+        span = (at[a], at[b])
+        i = by_ends.setdefault(span, len(intervals))
         if i == len(intervals):
             intervals.append(Interval(value[a], value[b]))
+            spans.append(span)
         proj.append(i)
+    row = {id(g): k % (n - 1) for k, g in enumerate(G)}
+    rows = [row.get(id(v), n - 1) for v in values]
     store = _FaceStore(faces_x, faces_k, intervals, points,
                        *map(_narrow, (found.values(), proj, starts, verts)))
-    return store, rank, _narrow(point_of), _narrow(ends)
+    return (store, rank, values,
+            *map(_narrow, (rows, ranks, list(chain(*spans)))))
 
 
 def _add_faces(rank, n, m) -> tuple[dict[tuple[int, ...], int], list[int]]:
@@ -402,7 +428,8 @@ class _FaceStore(Sequence):
 
 class Complex2D:
     """All faces F(I, J, K) over one period, deduplicated by point set;
-    ``faces``, a sequence of Face2D, builds each face when it is read."""
+    ``faces``, a sequence of Face2D, builds each face when it is read.
+    A sweep reads its rank space, which ``_enumerate`` describes."""
 
     def __init__(self, breakpoints):
         bk = [QNum.of(b) for b in breakpoints]
@@ -418,48 +445,8 @@ class Complex2D:
         points_k = list(self.points_x) + [p + 1 for p in bk[1:]] + [QNum(2)]
         self.points_k: tuple[QNum, ...] = tuple(points_k)
         self.faces_k = _one_dim_faces(points_k)
-        (self.faces, self._rank, self._vertex_keys,
-         self._ends) = _enumerate(self)
-
-    def keys(self):
-        """The faces' integer keys for a sweep: coords, the x, y and x + y
-        keys of each distinct point, and for each face in order its
-        projection-end keys x0, x1, y0, y1, s0, s1, kept from the
-        enumeration, and the positions of its vertices among the points.
-        Equal keys are equal coordinates, and a coordinate on a breakpoint
-        is keyed as one, so a vertex's side on a projection is an int
-        compare with the ends.
-        """
-        rank, n, m = self._rank, len(self.points_x), len(self.points_k)
-        W = n + m * n
-        coords = []
-        for vk in self._vertex_keys:
-            x, y = divmod(vk, W)
-            if x >= n or y >= n:  # on the line x + y = G[k]
-                s = (max(x, y) - n) // n
-            else:
-                r = rank[x * n + y]
-                s = r >> 1 if r & 1 else m + x * n + y
-            coords.append((x, y, W + s))
-        starts, verts = self.faces._starts, self.faces._verts
-        return coords, zip(zip(*[iter(self._ends)] * 6),
-                           (verts[a:b] for a, b in pairwise(starts)))
-
-    def coordinate(self, key: int) -> tuple[QNum, int | None]:
-        """The coordinate of a key (a sum key w as W + w), and the index,
-        mod 1, of the breakpoint it is, or None inside a piece."""
-        P, G = self.points_x, self.points_k
-        n, m = len(P), len(G)
-        W = n + m * n
-        if key < n:
-            return P[key], key % (n - 1)
-        if key < W:
-            k, j = divmod(key - n, n)
-            return G[k] - P[j], None
-        if key < W + m:
-            return G[key - W], (key - W) % (n - 1)
-        i, j = divmod(key - W - m, n)
-        return P[i] + P[j], None
+        (self.faces, self._rank, self._values, self._value_rows,
+         self._point_ranks, self._interval_ranks) = _enumerate(self)
 
     # -- lookup -------------------------------------------------------------
 

@@ -291,9 +291,10 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
     not be valid, so that is an error), and every vertex one of the
     face's vertices, whose limit sides the face's classification holds.
     Returns the system with one row per pair, plus explicit symmetry rows
-    when ``eliminate_symmetry`` is off.  Each (coordinate, side) is
-    expanded once, equal rows share one read-only mapping, and a row's
-    label is formatted only when it is read.
+    when ``eliminate_symmetry`` is off.  A face's status and vertex sides
+    are read at its position in fn's analysis, with no classification
+    built; each (coordinate, side) is expanded once, equal rows share one
+    read-only mapping, and a row's label is formatted only when it is read.
     """
     param = _Parametrization(fn, special_intervals, eliminate_symmetry)
     report = additive_face_report(fn)
@@ -304,18 +305,19 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
     terms = {}  # (coordinate, side, sign) -> sign times its expansion
     shared = {}  # a row's sorted (name, coefficient) pairs -> its mapping
     same = {}.setdefault  # one object per distinct coefficient value
+    (kind, slack_sides), status = report.faces.kinds(), report.faces.statuses()
     for face, vertex in selected_faces:
-        cls = report.classification_of(face)
-        if cls.status != ADDITIVE:
+        k = kind[report.complex._find(face.I, face.J, face.K)]
+        if status[k] != ADDITIVE:
             raise ValueError(
-                f"selected face {face.label()} is {cls.status}, not additive")
+                f"selected face {face.label()} is {status[k]}, not additive")
         u, v = (QNum.of(vertex[0]), QNum.of(vertex[1]))
         try:
-            i = cls.face.vertices.index((u, v))
+            i = face.vertices.index((u, v))
         except ValueError:
             raise ValueError(f"({u}, {v}) is not a vertex of "
                              f"{face.label()}") from None
-        s1, s2, s3 = cls.slack_sides[2 * i + 1]
+        s1, s2, s3 = slack_sides[k][2 * i + 1]
         coeffs: dict[str, QNum] = {}
         for key in ((u, s1, 1), (v, s2, 1), (u + v, s3, -1)):
             term = terms.get(key)

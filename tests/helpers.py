@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
 import random
 import sys
 import types
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from pathlib import Path
 
 from groupcut.additivity import FaceClassification, _sides, _slack, _status
 from groupcut.complex2d import Interval, make_face
@@ -116,6 +118,18 @@ def grid_pairs(seed: int, count: int):
         pi1, pi2 = gmic(f), gmic(f, k, f0)
         yield (pi1 + pi2).scale(Fraction(1, 2)), \
             (pi1 - pi2).scale(Fraction(1, 2)), pi1
+
+
+def random_grid_functions(seed: int) -> list[tuple[str, PwlFunction]]:
+    """(family, function) of each function of the benchmark's random-grid
+    pass of this seed (``bench/gridgen.py``)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gridgen.py"
+    spec = importlib.util.spec_from_file_location("bench_gridgen", path)
+    gridgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gridgen)
+    return [(g.family, PwlFunction([BreakpointRow.of(*r) for r in g.rows],
+                                   g.f))
+            for g in gridgen.batch(seed)[0]]
 
 
 def composed(fn: PwlFunction, k: int, f) -> PwlFunction:

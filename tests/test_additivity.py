@@ -182,11 +182,12 @@ def test_key_sweep_reads_an_end_on_a_breakpoint_as_that_breakpoint():
     _assert_sweep_is_the_reference(fn)
 
 
-# a kept kzh analysis after one classification_of, measured at 2,046,471
+# a kept kzh analysis after one classification_of, measured at 1,870,388
 # bytes (sys.getsizeof of every object the report reaches, its function
-# included; the face store's arrays and the sweep's kinds in their
-# narrowest types) and 17,578 reachable gc-tracked objects
-KZH_ANALYSIS_BYTES = 2_046_471
+# included; the face store's arrays, the rank space's arrays and the
+# sweep's kinds in their narrowest types) and 17,578 reachable gc-tracked
+# objects (17,585 with the rank space's list of values)
+KZH_ANALYSIS_BYTES = 1_870_388
 KZH_ANALYSIS_OBJECTS = 17_578
 
 

@@ -17,8 +17,8 @@ from hypothesis import given, seed, settings, strategies as st
 import groupcut
 from groupcut import diagram
 from groupcut.cli import _build_parser, main
-from groupcut.exactnum import QNum
-from groupcut.pwl import PwlFunction, load, to_text
+from groupcut.exactnum import QNum, parse_qnum
+from groupcut.pwl import PLUS, PwlFunction, load, to_text
 from groupcut.catalog import (kzh_function, kzh_params, lifted_function,
                               psi_function)
 from helpers import gmic, midpoint_pair
@@ -41,6 +41,30 @@ def test_eval_examples(capsys):
     assert capsys.readouterr().out == "1\n"
     assert main(["eval", "psi", "0"]) == 0
     assert capsys.readouterr().out == "0\n"
+
+
+@pytest.mark.parametrize("x", ["-3/2", "-sqrt2", "-1/2+sqrt2", "-3*sqrt2",
+                               "-3/4-1/8*sqrt2", "-3"])
+def test_a_negative_number_is_a_positional_argument(capsys, x):
+    psi = psi_function()
+    value = psi.eval(parse_qnum(x))
+    assert main(["eval", "psi", x]) == 0
+    assert capsys.readouterr().out == f"{value}\n"
+    assert main(["eval", "psi", "--", x]) == 0
+    assert capsys.readouterr().out == f"{value}\n"
+    assert main(["limit", "psi", x, "plus"]) == 0
+    assert capsys.readouterr().out == f"{psi.limit(parse_qnum(x), PLUS)}\n"
+
+
+def test_a_leading_minus_before_a_letter_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "psi", "-x"])
+    assert exc.value.code == 2
+    assert "required: x" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", "psi", "-h"])
+    assert exc.value.code == 0
+    assert "usage: groupcut limit" in capsys.readouterr().out
 
 
 def test_eval_lifted_at_a_moved_point(capsys):

@@ -1,6 +1,7 @@
 """The two-dimensional additivity complex over the unit square."""
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
@@ -8,14 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupcut import complex2d
-from groupcut.catalog import kzh_function, psi_function
+from groupcut.catalog import kzh_function, psi_function, psi_prime_function
 from groupcut.exactnum import QNum
 from groupcut.pwl import PwlFunction
 from groupcut.complex2d import (Complex2D, Face2D, Interval, ccw_hull_order,
                                 centroid, make_face, n_f, polygon_vertices)
 
 from helpers import (_end_keys, composed, convex_minimal_family, gmic,
-                     reference_faces)
+                     random_grid_functions, reference_faces)
 
 H = Fraction(1, 2)
 
@@ -235,20 +236,60 @@ def test_complex_matches_reference_on_larger_grids(bk):
     assert tuple(Complex2D(bk).faces) == reference_faces(bk)
 
 
-def test_the_kept_end_keys_are_those_of_each_face_triple():
+def _rank_space_breakpoints():
+    """The distinct breakpoint sets of psi, psi_prime, kzh, the random-grid
+    passes of seeds 1-3, convex_minimal_family seeds 1 and 2 and
+    LARGER_GRIDS."""
+    fns = [psi_function(), psi_prime_function(), kzh_function()]
+    for seed in (1, 2, 3):
+        fns += [fn for _, fn in random_grid_functions(seed)]
+    for seed in (1, 2):
+        fns += [fn for fn, _, _ in convex_minimal_family(seed, 6)]
+    bks = [tuple(map(QNum.of, bk)) for bk in LARGER_GRIDS]
+    return list(dict.fromkeys([fn.breakpoints for fn in fns] + bks))
+
+
+def test_the_rank_space_is_the_coordinates_of_points_and_intervals():
     assert len(LARGER_GRIDS) == 9 and max(map(len, LARGER_GRIDS)) == 18
-    for bk in LARGER_GRIDS + [psi_function().breakpoints]:
+    bks = _rank_space_breakpoints()
+    assert len(bks) > 20 and max(map(len, bks)) == 40
+    for bk in bks:
         cx = Complex2D(bk)
+        G, n, m = cx.points_k, len(cx.points_x), len(cx.points_k)
+        values, rows = cx._values, cx._value_rows
+        ranks, ends = cx._point_ranks, cx._interval_ranks
+        intervals, points, proj, starts, verts = cx.faces.ids()
+        # strictly increasing, G's points their own objects, and each row
+        # a breakpoint's index mod 1, or n - 1 inside a piece
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert all(values[bisect_left(values, g)] is g for g in G)
+        where = {g: k for k, g in enumerate(G)}
+        assert list(rows) == [where[v] % (n - 1) if v in where else n - 1
+                              for v in values]
+        # every point coordinate and interval end is its value's object
+        assert len(ranks) == 3 * len(points)
+        for p, (x, y) in enumerate(points):
+            rx, ry, rs = ranks[3 * p:3 * p + 3]
+            assert values[rx] is x and values[ry] is y
+            assert values[rs] == x + y
+        assert len(ends) == 2 * len(intervals)
+        for i, iv in enumerate(intervals):
+            assert values[ends[2 * i]] is iv.a
+            assert values[ends[2 * i + 1]] is iv.b
+        # a face's projections span its vertices' ranks
+        for f in range(len(cx.faces)):
+            own = [ranks[3 * v:3 * v + 3]
+                   for v in verts[starts[f]:starts[f + 1]]]
+            for d in range(3):
+                i = proj[3 * f + d]
+                assert (ends[2 * i], ends[2 * i + 1]) == (
+                    min(r[d] for r in own), max(r[d] for r in own))
+        # the end keys _add_faces writes to find each face's projections
         nx, nk = len(cx.faces_x), len(cx.faces_k)
         triples = [(fi * nx + fj) * nk + fk for fi, fj, fk in cx.faces.cells()]
-        ends = list(_end_keys(cx._rank, len(cx.points_x), len(cx.points_k),
-                              triples, nx, nk))
-        _, faces = cx.keys()
-        assert [e for e, _ in faces] == ends
-        for keys, face in zip(ends, cx.faces):
-            assert [cx.coordinate(k)[0] for k in keys] == [
-                face.p1.a, face.p1.b, face.p2.a, face.p2.b, face.p3.a,
-                face.p3.b]
+        assert complex2d._add_faces(cx._rank, n, m)[1] == [
+            key for keys in _end_keys(cx._rank, n, m, triples, nx, nk)
+            for key in keys]
 
 
 def _vertex_sets_built(monkeypatch, breakpoints) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """SVG rendering and the JSON sidecar round trip."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -42,6 +43,17 @@ def test_render_is_deterministic():
     ja = sidecar_to_json(render_sidecar(psi_function()))
     jb = sidecar_to_json(render_sidecar(psi_function()))
     assert ja == jb
+
+
+def test_kzh_sidecar_and_svg_bytes_are_pinned():
+    """The bytes of kzh's sidecar and SVG, which read every face, vertex
+    and slack of the complex."""
+    fn = kzh_function()
+    sidecar = sidecar_to_json(render_sidecar(fn)).encode()
+    assert hashlib.sha256(sidecar).hexdigest() == (
+        "c4a7e8a219e3a8fc5dde01377fba2e371fa9053e2135f8b7484bf2e3efd38646")
+    assert hashlib.sha256(render_svg(fn).encode()).hexdigest() == (
+        "88b6d418218d60994798e3a768afe37a53db0b4b562770de45be0bc9a51e4c4f")
 
 
 def test_northeast_limit_cone_separates_the_pair():

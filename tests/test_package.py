@@ -39,9 +39,11 @@ def test_public_names_are_pinned():
     assert all(hasattr(groupcut, name) for name in groupcut.__all__)
 
 
-# the private fields of the face store and of the classifications
+# the private fields of the face store, of the complex's rank space and of
+# the classifications
 _STORE_FIELDS = {"_faces_x", "_faces_k", "_intervals", "_points", "_triples",
-                 "_proj", "_starts", "_verts", "_faces", "_kind",
+                 "_proj", "_starts", "_verts", "_values", "_value_rows",
+                 "_point_ranks", "_interval_ranks", "_faces", "_kind",
                  "_slack_sides", "_status"}
 
 
@@ -119,6 +121,7 @@ _PUBLIC_WITHOUT_A_CALLER = {
     # tests/helpers.py and tests/test_pwl.py read it
     "triple_key",  # documented API (README)
     "classification_digest",  # bench/worker.py reads it
+    "classification_of",  # the tests look a face's classification up by it
     "is_rational",  # bench/worker.py reads it
     "matrix",  # bench/worker.py reads it; rank eliminates on sparse rows
     "mutate_value",  # bench/test_checks.py reads it

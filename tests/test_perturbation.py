@@ -2,8 +2,6 @@
 
 import gc
 import hashlib
-import importlib.util
-import os
 import random
 from fractions import Fraction
 from types import MappingProxyType
@@ -25,7 +23,7 @@ from groupcut.verify import kzh_selected_faces
 
 from helpers import (
     gmic, grid_pairs, midpoint_pair, random_gap_instance, gap_instance_holds,
-    reference_mirrors, reference_rank, retained,
+    random_grid_functions, reference_mirrors, reference_rank, retained,
 )
 
 Q = lambda *a: QNum(Fraction(*a))
@@ -359,20 +357,12 @@ def test_systems_are_pinned(name, eliminate):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-GRIDGEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "bench", "gridgen.py")
-
-
 def _random_grid_two_slope_systems(seed: int) -> list:
     """(system, rank) of each two-slope function of a random-grid pass, as
     the benchmark builds and keeps them."""
-    spec = importlib.util.spec_from_file_location("bench_gridgen", GRIDGEN)
-    gridgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gridgen)
     out = []
-    for g in gridgen.batch(seed)[0]:
-        if g.family in ("gmic", "gmic_k"):
-            fn = PwlFunction([BreakpointRow.of(*r) for r in g.rows], g.f)
+    for family, fn in random_grid_functions(seed):
+        if family in ("gmic", "gmic_k"):
             report = additive_face_report(fn)
             selected = [(c.face, c.face.vertices[0]) for c in report.faces
                         if c.status == ADDITIVE]
