@@ -32,8 +32,8 @@ ADDITIVE = "additive"
 LIMIT_ADDITIVE = "limit_additive"
 NON_ADDITIVE = "non_additive"
 
-# the 27 side triples, which the sweep's slack records share; triple t is
-# _SIDES[9 * (t[0] + 1) + 3 * (t[1] + 1) + t[2] + 1]
+# the 27 side triples, the sides of a vertex code c being _SIDES[c % 27];
+# triple t is _SIDES[9 * (t[0] + 1) + 3 * (t[1] + 1) + t[2] + 1]
 _SIDES = tuple(product((MINUS, AT, PLUS), repeat=3))
 
 
@@ -109,18 +109,23 @@ _classified = partial(tuple.__new__, FaceClassification)
 class _Classifications(Sequence):
     """The classification of each face of a complex, built when read.
 
-    Faces share their (slack_sides, status): kzh's 18,155 faces have
-    6,243.  So each face keeps only the index of its pair, and a kept
-    analysis holds no object per classification.
+    Faces share their vertex slacks and sides: kzh's 18,155 faces have
+    6,243 kinds.  So each face keeps only the index of its kind, a kind
+    its vertices' codes 27 * slack index + side code (``_SIDES``) in one
+    flat array, and each distinct slack value is kept once.  A kept
+    analysis holds no object per kind; ``slack_sides`` is decoded only
+    when a classification is read.
     """
 
-    __slots__ = ("_faces", "_kind", "_slack_sides", "_status")
+    __slots__ = ("_faces", "_kind", "_kind_starts", "_codes", "_slacks",
+                 "_status")
 
-    def __init__(self, faces, kind, slack_sides, status):
+    def __init__(self, faces, kind, kind_starts, codes, slacks, status):
         self._faces = faces
-        self._kind = kind  # per face, the index into the next two
-        self._slack_sides = slack_sides
-        self._status = status
+        self._kind = kind  # per face, the index of its kind
+        # kind k has the codes codes[kind_starts[k]:kind_starts[k + 1]]
+        self._kind_starts, self._codes = kind_starts, codes
+        self._slacks, self._status = slacks, status  # status per kind
 
     def __len__(self) -> int:
         return len(self._faces)
@@ -128,15 +133,17 @@ class _Classifications(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
-        k = self._kind[i]
-        return _classified((self._faces[i], self._slack_sides[k],
-                            self._status[k]))
+        return self._decode(self._faces[i], self._kind[i])
 
     def __iter__(self):
-        kind = self._kind
-        return map(_classified, zip(self._faces,
-                                    map(self._slack_sides.__getitem__, kind),
-                                    map(self._status.__getitem__, kind)))
+        return map(self._decode, self._faces, self._kind)
+
+    def _decode(self, face, k) -> FaceClassification:
+        a, b = self._kind_starts[k], self._kind_starts[k + 1]
+        slacks = self._slacks
+        return _classified((face, tuple(
+            x for c in self._codes[a:b]
+            for x in (slacks[c // 27], _SIDES[c % 27])), self._status[k]))
 
     def positions(self, status: str) -> list[int]:
         """The positions of the faces with this status, in order."""
@@ -145,21 +152,23 @@ class _Classifications(Sequence):
                              map(hit.__getitem__, self._kind)))
 
     def kinds(self):
-        """Per face the index of its slack tuple, and the slack tuples."""
-        return self._kind, self._slack_sides
-
-    def statuses(self) -> list[str]:
-        """The status of each slack tuple of ``kinds``."""
-        return self._status
+        """kind, starts, codes, slacks, status: face n is of kind k =
+        kind[n], with the status status[k], and its vertex i has the code
+        c = codes[starts[k] + i], the slack slacks[c // 27] and the side
+        triple ``_SIDES[c % 27]``."""
+        return (self._kind, self._kind_starts, self._codes, self._slacks,
+                self._status)
 
     def first_negative(self) -> FaceClassification | None:
-        """The first face with a negative vertex slack, or None; the shared
-        slack tuples are searched first."""
-        negative = {k for k, data in enumerate(self._slack_sides)
-                    if any(slack < 0 for slack in data[::2])}
-        if negative:
+        """The first face with a negative vertex slack, or None; each
+        distinct slack is tested once, then each kind's codes."""
+        negative = [slack < 0 for slack in self._slacks]
+        if any(negative):
+            codes = self._codes
+            bad = [any(negative[c // 27] for c in codes[a:b])
+                   for a, b in pairwise(self._kind_starts)]
             for i, k in enumerate(self._kind):
-                if k in negative:
+                if bad[k]:
                     return self[i]
         return None
 
@@ -187,13 +196,6 @@ class AdditivityReport:
         return self.faces[self.complex._find(face.I, face.J, face.K)]
 
 
-def _status(slacks) -> str:
-    zeros = sum(slack == 0 for slack in slacks)
-    if zeros == len(slacks):
-        return ADDITIVE
-    return LIMIT_ADDITIVE if zeros else NON_ADDITIVE
-
-
 def _sweep(fn: PwlFunction, cx: Complex2D) -> _Classifications:
     """Classify every face of cx in the rank space of its coordinates.
 
@@ -203,8 +205,9 @@ def _sweep(fn: PwlFunction, cx: Complex2D) -> _Classifications:
     three sides.  A vertex's sides are int compares of its ranks with the
     end ranks of the face's projections.  Its slack is two QNum operations
     on limits, done once per distinct triple of limit values, and slack
-    values and slack tuples are shared by value: kzh's 40,627 slacks take
-    5,975 such triples, 388 values and 6,243 slack tuples.
+    values and kinds, the codes of a face's vertices, are shared by value:
+    kzh's 40,627 slacks take 5,975 such triples, 388 values and 6,243
+    kinds.  A kind's status is read off a zero flag per distinct slack.
     """
     rows = fn.rows
     lim_index: dict[QNum, int] = {}  # each distinct limit value -> index
@@ -222,23 +225,12 @@ def _sweep(fn: PwlFunction, cx: Complex2D) -> _Classifications:
     spans = list(zip(*[iter(cx._interval_ranks)] * 2))  # end ranks
     _, _, proj, starts, verts = cx.faces.ids()
 
-    slacks: list[QNum] = []  # the distinct slack values
-    slack_index: dict[QNum, int] = {}
-    by_limits: dict[int, int] = {}  # limit indices -> slacks index
-
-    def slack_of(a: int, b: int, c: int) -> int:
-        slack = lims[a] + lims[b] - lims[c]
-        n = slack_index.get(slack)
-        if n is None:
-            n = slack_index[slack] = len(slacks)
-            slacks.append(slack)
-        return n
-
-    # a face's slack codes -> the index of its slack_sides and status
-    shared: dict[tuple[int, ...], int] = {}
-    slack_sides: list[tuple] = []
-    status: list[str] = []
-    kind = []
+    slack_index: dict[QNum, int] = {}  # each distinct slack -> its index
+    zero: list[bool] = []  # per distinct slack, is it 0
+    by_limits: dict[int, int] = {}  # limit indices -> slack index
+    shared: dict[tuple[int, ...], int] = {}  # a kind's codes -> its index
+    flat: list[int] = []  # the codes of every kind, kind after kind
+    kind_starts, status, kind = [0], [], []
     for (p1, p2, p3), (lo, hi) in zip(zip(*[iter(proj)] * 3),
                                       pairwise(starts)):
         (x0, x1), (y0, y1), (s0, s1) = spans[p1], spans[p2], spans[p3]
@@ -257,19 +249,24 @@ def _sweep(fn: PwlFunction, cx: Complex2D) -> _Classifications:
             k = (a * M + b) * M + c
             n = by_limits.get(k)
             if n is None:
-                n = by_limits[k] = slack_of(a, b, c)
+                slack = lims[a] + lims[b] - lims[c]
+                n = by_limits[k] = slack_index.setdefault(slack, len(zero))
+                if n == len(zero):
+                    zero.append(slack == 0)
             # the slack index and side triple of the vertex, as one int
             codes.append(27 * n + 9 * sx + 3 * sy + ss)
         codes = tuple(codes)
         k = shared.get(codes)
         if k is None:
-            k = shared[codes] = len(slack_sides)
-            data = tuple(x for c in codes
-                         for x in (slacks[c // 27], _SIDES[c % 27]))
-            slack_sides.append(data)
-            status.append(_status(data[::2]))
+            k = shared[codes] = len(status)
+            flat += codes
+            kind_starts.append(len(flat))
+            zeros = sum(zero[c // 27] for c in codes)
+            status.append(ADDITIVE if zeros == len(codes) else
+                          LIMIT_ADDITIVE if zeros else NON_ADDITIVE)
         kind.append(k)
-    return _Classifications(cx.faces, _narrow(kind), slack_sides, status)
+    return _Classifications(cx.faces, *map(_narrow, (kind, kind_starts, flat)),
+                            list(slack_index), status)
 
 
 def additive_face_report(fn: PwlFunction) -> AdditivityReport:

@@ -198,11 +198,11 @@ def _enumerate(cx: Complex2D):
     P[i] + P[j], offset by W where it shares one key space with x and y
     keys.  A vertex is keyed x_key * W + y_key, with its coordinate put on
     a breakpoint whenever it equals one, so equal keys are equal points
-    and point sets deduplicate on sorted keys.  Each key is decoded once,
-    each distinct value is one object (``diagram._encode`` relies on it),
-    and the distinct values are sorted once: a face's vertices are ordered
-    by the ranks of their x and y values, and a projection is found by the
-    ranks of its ends.
+    and point sets deduplicate on sorted keys (``_vertex_keys``).  Each
+    key is decoded once, each distinct value is one object (``_encode``
+    relies on it), and the distinct values are sorted once: a face's
+    vertices are ordered by the ranks of their x and y values, and a
+    projection is found by the ranks of its ends.
     """
     P, G, faces_x, faces_k = cx.points_x, cx.points_k, cx.faces_x, cx.faces_k
     n, m = len(P), len(G)
@@ -283,7 +283,8 @@ def _add_faces(rank, n, m) -> tuple[dict[tuple[int, ...], int], list[int]]:
     keys x0, x1, y0, y1, s0, s1 of the projections p1 = I & (K - J),
     p2 = J & (K - I) and p3 = K & (I + J) of that triple, an end on a
     breakpoint keyed as that breakpoint.  Both are recorded when a set is
-    first found, from the ranks of its triple.
+    first found, from the ranks of its triple, and a set's keys from its
+    box I x J, worked out once (``_box``), by int compares and adds.
 
     A triple is skipped before its vertex set is built when ranks prove
     that an earlier triple has its points: an edge cell on which the set
@@ -301,6 +302,7 @@ def _add_faces(rank, n, m) -> tuple[dict[tuple[int, ...], int], list[int]]:
             lo, hi = rank[ia * n + ja], rank[ib * n + jb]
             rx, ry = rank[ib * n + ja], rank[ia * n + jb]
             low = ia == ib > 0 or ja == jb > 0  # a point I or J after 0
+            box = _box(rank, n, W, fi, fj)
             # the K with K.b >= P[ia] + P[ja] and K.a < P[ib] + P[jb]: the
             # edge K with K.a = P[ib] + P[jb] has the points of {K.a}
             for fk in range(max(0, (lo >> 1) * 2 - 1), hi):
@@ -314,7 +316,7 @@ def _add_faces(rank, n, m) -> tuple[dict[tuple[int, ...], int], list[int]]:
                 if (lo == tb and (rx > tb or ry > tb)
                         or ka == kb and (ka and lo == ta or low and hi == ta)):
                     continue
-                key = _face_keys(rank, n, W, fi, fj, fk)
+                key = _vertex_keys(box, fk)
                 if key and key not in found:
                     found[key] = (fi * nx + fj) * nk + fk
                     ends += (ia if ry >= ta else ib if hi == ta
@@ -332,30 +334,44 @@ def _add_faces(rank, n, m) -> tuple[dict[tuple[int, ...], int], list[int]]:
     return found, ends
 
 
-def _face_keys(rank, n, W, fi, fj, fk) -> tuple[int, ...]:
-    """The sorted vertex keys of F(I, J, K) for the cells fi, fj over P
-    and fk over G; empty when the set is.  A vertex is a corner of the box
-    I x J whose sum is in K, or the point where a line x + y = G[k] through
-    an end of K crosses the inside of a side of the box."""
+def _box(rank, n, W, fi, fj) -> tuple[int, ...]:
+    """The box I x J for cells fi, fj over P, as ``_vertex_keys`` reads it:
+    its corner sums' ranks and corner keys, the keys where its sides meet
+    x + y = G[0], and the key steps n, n W from G[k] to G[k + 1].  A point
+    I (J) gives its corners at P[ib] (P[jb]) rank -1, so no key repeats."""
     ia, ib, ja, jb = fi >> 1, (fi + 1) >> 1, fj >> 1, (fj + 1) >> 1
-    ka, kb = fk >> 1, (fk + 1) >> 1
-    ta, tb = 2 * ka + 1, 2 * kb + 1
-    lo, rx = rank[ia * n + ja], rank[ib * n + ja]
-    ry, hi = rank[ia * n + jb], rank[ib * n + jb]
-    verts = {i * W + j for i, j, r in ((ia, ja, lo), (ib, ja, rx),
-                                       (ia, jb, ry), (ib, jb, hi))
-             if ta <= r <= tb}
-    for t, k in ((ta, ka), (tb, kb)):
-        g = n + k * n  # + j: the key of G[k] - P[j]
-        if lo < t < ry:  # on x = P[ia]
-            verts.add(ia * W + g + ia)
-        if rx < t < hi:  # on x = P[ib]
-            verts.add(ib * W + g + ib)
-        if lo < t < rx:  # on y = P[ja]
-            verts.add((g + ja) * W + ja)
-        if ry < t < hi:  # on y = P[jb]
-            verts.add((g + jb) * W + jb)
-    return tuple(sorted(verts))
+    pi, pj = ia == ib, ja == jb
+    lo, rx = rank[ia * n + ja], -1 if pi else rank[ib * n + ja]
+    ry = -1 if pj else rank[ia * n + jb]
+    hi = -1 if pi or pj else rank[ib * n + jb]
+    return (lo, rx, ry, hi, ia * W + ja, ia * W + jb, ib * W + ja,
+            ib * W + jb, ia * W + n + ia, ib * W + n + ib, (n + ja) * W + ja,
+            (n + jb) * W + jb, n, n * W)
+
+
+def _vertex_keys(box, fk) -> tuple[int, ...]:
+    """The sorted vertex keys of F(I, J, K) for a ``_box`` I x J and cell
+    fk over G: the box corners whose sum is in K and the points where a
+    line x + y = G[k] through an end of K crosses the inside of a side,
+    made in key order (x = P[ia], x = P[ib], then by G[k] - P[j])."""
+    lo, rx, ry, hi, c00, c01, c10, c11, x0, x1, y0, y1, dx, dy = box
+    # the crossings of K.b at rank tc: 0, below every rank, for a point K
+    ta, tb, tc = fk | 1, (fk + 1) | 1, (fk + 1) | 1 if fk & 1 else 0
+    kx, ky = (fk >> 1) * dx, (fk >> 1) * dy
+    keys = []
+    if ta <= lo <= tb: keys.append(c00)
+    if ta <= ry <= tb: keys.append(c01)
+    if lo < ta < ry: keys.append(x0 + kx)
+    if lo < tc < ry: keys.append(x0 + kx + dx)
+    if ta <= rx <= tb: keys.append(c10)
+    if ta <= hi <= tb: keys.append(c11)
+    if rx < ta < hi: keys.append(x1 + kx)
+    if rx < tc < hi: keys.append(x1 + kx + dx)
+    if lo < ta < rx: keys.append(y0 + ky)
+    if ry < ta < hi: keys.append(y1 + ky)
+    if lo < tc < rx: keys.append(y0 + ky + dy)
+    if ry < tc < hi: keys.append(y1 + ky + dy)
+    return tuple(keys)
 
 
 class _FaceStore(Sequence):
@@ -459,15 +475,15 @@ class Complex2D:
         if (n := self.faces.position(fi, fj, fk)) is not None:
             return n
         nx, nk, size = len(self.faces_x), len(self.faces_k), len(self.points_x)
-        args = (self._rank, size, size + len(self.points_k) * size)
-        mine = _face_keys(*args, fi, fj, fk)
+        box = partial(_box, self._rank, size, size + len(self.points_k) * size)
+        mine = _vertex_keys(box(fi, fj), fk)
         if not mine:
             raise ValueError(f"F({self.faces_x[fi]}, {self.faces_x[fj]}, "
                              f"{self.faces_k[fk]}) is empty")
         near = product(*(range(max(c - 2, 0), min(c + 3, top))
                          for c, top in ((fi, nx), (fj, nx), (fk, nk))))
         n = self.faces.position(*next(
-            cells for cells in near if _face_keys(*args, *cells) == mine))
+            c for c in near if _vertex_keys(box(*c[:2]), c[2]) == mine))
         if n is None:
             raise ArithmeticError(f"cells {fi, fj, fk} have no stored face")
         return n

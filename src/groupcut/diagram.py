@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import repeat
+from itertools import pairwise, repeat
 
 from .exactnum import QNum
 from .pwl import PwlFunction
 from .complex2d import centroid, ccw_hull_order
-from .additivity import (ADDITIVE, LIMIT_ADDITIVE, AdditivityReport,
-                         additive_face_report)
+from .additivity import (_SIDES, ADDITIVE, LIMIT_ADDITIVE,
+                         AdditivityReport, additive_face_report)
 
 SCHEMA = "groupcut-diagram/2"
 
@@ -188,11 +188,12 @@ def _encode(report: AdditivityReport, n_f) -> dict:
     store and the classification kinds, with n_f the n_F of each face.
     The complex keeps one object per exact value (``complex2d._enumerate``),
     so told apart by id each coordinate is in ``numbers`` once: the cells'
-    ends first, then the points'.  Each distinct (slack, sides) record is one
-    dict and each slack tuple one list, shared by all faces of that kind."""
+    ends first, then the points'.  Each distinct code, a (slack, sides)
+    record, is one dict and each kind's list of records one list, shared by
+    all faces of that kind."""
     cx = report.complex
     _, points, _, starts, verts = cx.faces.ids()
-    kind, slack_sides = report.faces.kinds()
+    kind, kind_starts, codes, values, status = report.faces.kinds()
     numbers: list[str] = []
     by_id: dict[int, int] = {}  # id of a coordinate object -> its number
 
@@ -205,18 +206,10 @@ def _encode(report: AdditivityReport, n_f) -> dict:
 
     cells = [(number(iv.a), number(iv.b)) for iv in cx.faces_k]
     pts = [(number(x), number(y)) for x, y in points]
-    records: dict[tuple[int, int], dict] = {}
-
-    def record(slack, sides) -> dict:
-        rec = records.get((id(slack), id(sides)))
-        if rec is None:
-            rec = records[id(slack), id(sides)] = {"sides": sides,
-                                                  "slack": str(slack)}
-        return rec
-
-    slacks = [[record(data[i], data[i + 1]) for i in range(0, len(data), 2)]
-              for data in slack_sides]
-    status = report.faces.statuses()
+    record = {c: {"sides": _SIDES[c % 27], "slack": str(values[c // 27])}
+              for c in set(codes)}
+    slacks = [list(map(record.__getitem__, codes[a:b]))
+              for a, b in pairwise(kind_starts)]
     faces = [{"cells": c, "vertices": verts[a:b].tolist(), "n_f": nf,
               "status": status[k], "slacks": slacks[k]}
              for c, a, b, nf, k in zip(cx.faces.cells(), starts,
@@ -255,7 +248,13 @@ def render_sidecar(fn, report: AdditivityReport | None = None) -> dict:
 
 
 def sidecar_to_json(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    """The sidecar as JSON text, dumped as the tree it is: no cycle check."""
+    try:
+        return json.dumps(data, sort_keys=True, separators=(",", ":"),
+                          check_circular=False) + "\n"
+    except RecursionError:
+        raise ValueError("a sidecar is a tree; this one contains itself "
+                         "or nests too deep") from None
 
 
 def _at(table: list, i, what: str):

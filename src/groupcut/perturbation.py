@@ -19,11 +19,12 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import pairwise
 from types import MappingProxyType
 
 from .exactnum import QNum
 from .pwl import AT, PLUS, PwlFunction
-from .additivity import (ADDITIVE, _analyses, _minimality,
+from .additivity import (_SIDES, ADDITIVE, _analyses, _minimality,
                          additive_face_report, minimality_test)
 from .covering import components as covering_components
 
@@ -305,7 +306,7 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
     terms = {}  # (coordinate, side, sign) -> sign times its expansion
     shared = {}  # a row's sorted (name, coefficient) pairs -> its mapping
     same = {}.setdefault  # one object per distinct coefficient value
-    (kind, slack_sides), status = report.faces.kinds(), report.faces.statuses()
+    kind, kind_starts, codes, _, status = report.faces.kinds()
     for face, vertex in selected_faces:
         k = kind[report.complex._find(face.I, face.J, face.K)]
         if status[k] != ADDITIVE:
@@ -317,7 +318,7 @@ def build_system(fn: PwlFunction, special_intervals, selected_faces,
         except ValueError:
             raise ValueError(f"({u}, {v}) is not a vertex of "
                              f"{face.label()}") from None
-        s1, s2, s3 = slack_sides[k][2 * i + 1]
+        s1, s2, s3 = _SIDES[codes[kind_starts[k] + i] % 27]
         coeffs: dict[str, QNum] = {}
         for key in ((u, s1, 1), (v, s2, 1), (u + v, s3, -1)):
             term = terms.get(key)
@@ -366,8 +367,10 @@ def _vertex_slacks(fn: PwlFunction, pert: PwlFunction) -> dict:
     additivity of fn is not shared by pert."""
     base, bar = _analyses((fn.refine(pert.breakpoints),
                            pert.refine(fn.breakpoints)))
-    (k1, t1), (k2, t2) = base.faces.kinds(), bar.faces.kinds()
-    s1, s2 = [d[::2] for d in t1], [d[::2] for d in t2]
+    (k1, s1), (k2, s2) = ((kind, [[values[c // 27] for c in codes[a:b]]
+                                  for a, b in pairwise(kind_starts)])
+                          for kind, kind_starts, codes, values, _ in (
+                              base.faces.kinds(), bar.faces.kinds()))
     _, points, _, starts, verts = base.complex.faces.ids()
     slacks = {}
     for n, a, b in zip(range(len(k1)), k1, k2):

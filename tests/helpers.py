@@ -12,7 +12,8 @@ from functools import lru_cache
 from math import isqrt, lcm
 from pathlib import Path
 
-from groupcut.additivity import FaceClassification, _sides, _slack, _status
+from groupcut.additivity import (ADDITIVE, LIMIT_ADDITIVE, NON_ADDITIVE,
+                                 FaceClassification, _sides, _slack)
 from groupcut.complex2d import Interval, make_face
 from groupcut.exactnum import QNum, parse_qnum
 from groupcut.pwl import PwlFunction, BreakpointRow
@@ -534,6 +535,34 @@ def _end_keys(rank, n, m, triples, nx, nk):
                     else m + ib * n + jb))
 
 
+def _face_keys(rank, n, W, fi, fj, fk) -> tuple[int, ...]:
+    """The sorted vertex keys of F(I, J, K) for the cells fi, fj over P
+    and fk over G, derived from the triple alone with a set; empty when
+    the set is.  A vertex is a corner of the box I x J whose sum is in K,
+    or the point where a line x + y = G[k] through an end of K crosses the
+    inside of a side of the box.  The reference of the vertex keys that
+    the enumeration makes from per-box data."""
+    ia, ib, ja, jb = fi >> 1, (fi + 1) >> 1, fj >> 1, (fj + 1) >> 1
+    ka, kb = fk >> 1, (fk + 1) >> 1
+    ta, tb = 2 * ka + 1, 2 * kb + 1
+    lo, rx = rank[ia * n + ja], rank[ib * n + ja]
+    ry, hi = rank[ia * n + jb], rank[ib * n + jb]
+    verts = {i * W + j for i, j, r in ((ia, ja, lo), (ib, ja, rx),
+                                       (ia, jb, ry), (ib, jb, hi))
+             if ta <= r <= tb}
+    for t, k in ((ta, ka), (tb, kb)):
+        g = n + k * n  # + j: the key of G[k] - P[j]
+        if lo < t < ry:  # on x = P[ia]
+            verts.add(ia * W + g + ia)
+        if rx < t < hi:  # on x = P[ib]
+            verts.add(ib * W + g + ib)
+        if lo < t < rx:  # on y = P[ja]
+            verts.add((g + ja) * W + ja)
+        if ry < t < hi:  # on y = P[jb]
+            verts.add((g + jb) * W + jb)
+    return tuple(sorted(verts))
+
+
 # -- the analysis's readers by value ------------------------------------------
 # The covering, E-containment and epsilon code as it read the analysis by
 # value, face by face and slack record by slack record: the reference of the
@@ -560,7 +589,10 @@ def classify_face(fn: PwlFunction, face):
         s = u + v
         sides = _sides(face, u, v, s)
         data += (_slack(fn.limit, u, v, s, sides), sides)
-    return FaceClassification(face, tuple(data), _status(data[::2]))
+    zeros = sum(slack == 0 for slack in data[::2])
+    return FaceClassification(face, tuple(data),
+                              ADDITIVE if zeros == len(face.vertices) else
+                              LIMIT_ADDITIVE if zeros else NON_ADDITIVE)
 
 
 def _reference_reduce_span(a, b):

@@ -18,8 +18,9 @@ from groupcut.catalog import (kzh_function, kzh_params, psi_function,
                               psi_prime_function)
 from groupcut.diagram import render_sidecar
 
-from helpers import (classify_face, convex_minimal_family, random_pwl,
-                     retained, sampling_minimality_oracle)
+from helpers import (classify_face, convex_minimal_family,
+                     random_grid_functions, random_pwl, retained,
+                     sampling_minimality_oracle)
 
 H = Fraction(1, 2)
 Q = lambda *a: QNum(Fraction(*a))
@@ -182,13 +183,13 @@ def test_key_sweep_reads_an_end_on_a_breakpoint_as_that_breakpoint():
     _assert_sweep_is_the_reference(fn)
 
 
-# a kept kzh analysis after one classification_of, measured at 1,870,388
+# a kept kzh analysis after one classification_of, measured at 1,328,072
 # bytes (sys.getsizeof of every object the report reaches, its function
-# included; the face store's arrays, the rank space's arrays and the
-# sweep's kinds in their narrowest types) and 17,578 reachable gc-tracked
-# objects (17,585 with the rank space's list of values)
-KZH_ANALYSIS_BYTES = 1_870_388
-KZH_ANALYSIS_OBJECTS = 17_578
+# included; the face store's arrays, the rank space's arrays, and the
+# sweep's kinds and codes in their narrowest types) and 11,344 reachable
+# gc-tracked objects
+KZH_ANALYSIS_BYTES = 1_328_072
+KZH_ANALYSIS_OBJECTS = 11_344
 
 
 def test_a_kept_kzh_analysis_stays_small():
@@ -199,6 +200,25 @@ def test_a_kept_kzh_analysis_stays_small():
     size, tracked = retained(report)
     assert size < KZH_ANALYSIS_BYTES * 1.05
     assert tracked < KZH_ANALYSIS_OBJECTS * 1.02
+
+
+def test_first_negative_is_the_face_a_scan_finds_first():
+    fns = [fn for seed in (1, 2, 3)
+           for family, fn in random_grid_functions(seed)
+           if family == "near_miss" or family.startswith("random_")]
+    rng = random.Random(20261022)
+    fns += [random_pwl(rng) for _ in range(40)]
+    fns += [fn for seed in (1, 2)
+            for fn, _, parts in convex_minimal_family(seed, 6)
+            if parts is None]
+    found = 0
+    for fn in fns:
+        faces = additive_face_report(fn).faces
+        scan = next((c for c in faces
+                     if any(slack < 0 for slack in c.slack_sides[::2])), None)
+        assert faces.first_negative() == scan
+        found += scan is not None
+    assert 10 <= found < len(fns)
 
 
 def test_n_f_is_computed_once_per_face(monkeypatch):

@@ -15,8 +15,8 @@ from groupcut.pwl import PwlFunction
 from groupcut.complex2d import (Complex2D, Face2D, Interval, ccw_hull_order,
                                 centroid, make_face, n_f, polygon_vertices)
 
-from helpers import (_end_keys, composed, convex_minimal_family, gmic,
-                     random_grid_functions, reference_faces)
+from helpers import (_end_keys, _face_keys, composed, convex_minimal_family,
+                     gmic, random_grid_functions, reference_faces)
 
 H = Fraction(1, 2)
 
@@ -296,8 +296,8 @@ def _vertex_sets_built(monkeypatch, breakpoints) -> tuple[int, int]:
     """How many cell triples get a vertex set while the complex of the
     breakpoints is built, and how many faces it has."""
     calls = []
-    real = complex2d._face_keys
-    monkeypatch.setattr(complex2d, "_face_keys",
+    real = complex2d._vertex_keys
+    monkeypatch.setattr(complex2d, "_vertex_keys",
                         lambda *args: calls.append(args) or real(*args))
     cx = Complex2D(breakpoints)
     return len(calls), len(cx.faces)
@@ -315,6 +315,83 @@ def test_few_cell_triples_get_a_vertex_set(monkeypatch):
     built, faces = _vertex_sets_built(monkeypatch,
                                       kzh_function().breakpoints)
     assert faces == 18155 and built <= 18_500
+
+
+def _assert_vertex_keys_are_the_reference(bk):
+    """Each cell triple that ``_add_faces`` makes a vertex set for gets the
+    keys of ``helpers._face_keys``, which derives them from the triple
+    alone; with those keys in their place, the stored keys and triples and
+    the end keys come out the same, in order."""
+    cx = Complex2D(bk)
+    rank, n, m = cx._rank, len(cx.points_x), len(cx.points_k)
+    W = n + m * n
+    real_box, real_keys = complex2d._box, complex2d._vertex_keys
+    cells = []  # the fi, fj of the box last made
+
+    def box(*args):
+        cells[:] = args[-2:]
+        return real_box(*args)
+
+    def keys(box, fk):
+        ref = _face_keys(rank, n, W, *cells, fk)
+        assert real_keys(box, fk) == ref, (*cells, fk)
+        return ref
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complex2d, "_box", box)
+        mp.setattr(complex2d, "_vertex_keys", keys)
+        found, ends = complex2d._add_faces(rank, n, m)
+    real_found, real_ends = complex2d._add_faces(rank, n, m)
+    assert list(real_found.items()) == list(found.items())
+    assert real_ends == ends
+    assert list(found.values()) == list(cx.faces._triples)
+
+
+def _two_slope_sqrt2_breakpoints():
+    """The breakpoints of two-slope functions with f0 = sqrt2 - 1 and
+    f0 = 2 - sqrt2 composed with x -> kx, k = 1, 2, 3."""
+    for f0 in (QNum(-1, 1), QNum(2, -1)):
+        for k in (1, 2, 3):
+            yield gmic(f0 / k, k, f0).breakpoints
+
+
+def test_vertex_keys_are_the_reference_on_every_built_triple():
+    bks = _rank_space_breakpoints() + list(_two_slope_sqrt2_breakpoints())
+    for bk in bks:
+        _assert_vertex_keys_are_the_reference(bk)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_breakpoints)
+def test_vertex_keys_are_the_reference_on_grids(bk):
+    _assert_vertex_keys_are_the_reference(bk)
+
+
+def test_a_point_cell_counts_each_shared_key_once():
+    # P = 0, 1/4, 1/2, 1 and G = 0, 1/4, 1/2, 1, 5/4, 3/2, 2: for the
+    # point I = {1/4} (cell 2) the corners at I.a and I.b are one point,
+    # and so are the crossings of x = I.a and x = I.b with x + y = 1
+    cx = Complex2D([0, Fraction(1, 4), H])
+    rank, n, m = cx._rank, len(cx.points_x), len(cx.points_k)
+    W = n + m * n
+    for fj in range(2 * n - 1):
+        box = complex2d._box(rank, n, W, 2, fj)
+        for fk in range(2 * m - 1):
+            keys = complex2d._vertex_keys(box, fk)
+            assert keys == _face_keys(rank, n, W, 2, fj, fk)
+            assert len(set(keys)) == len(keys)
+    # J = [1/2, 1] (cell 5): the corners (I.a, J.a) and (I.b, J.a) are
+    # both (1/4, 1/2), one key...
+    box = complex2d._box(rank, n, W, 2, 5)
+    assert box[4] == box[6] == 1 * W + 2
+    # ... and K = {1}, G[3]: the point (1/4, 3/4) on x = 1/4, keyed by
+    # G[3] - P[1]; K = [1, 5/4] adds the corner (1/4, 1)
+    assert complex2d._vertex_keys(box, 6) == (1 * W + n + 3 * n + 1,)
+    assert complex2d._vertex_keys(box, 7) == (1 * W + 3,
+                                              1 * W + n + 3 * n + 1)
+    assert cx.find_face(Interval(Fraction(1, 4), Fraction(1, 4)),
+                        Interval(H, 1), Interval(1, 1)).vertices == (
+        (QNum(Fraction(1, 4)), QNum(Fraction(3, 4))),)
 
 
 def test_faces_share_one_object_per_point_and_projection():

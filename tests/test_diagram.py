@@ -56,6 +56,13 @@ def test_kzh_sidecar_and_svg_bytes_are_pinned():
         "88b6d418218d60994798e3a768afe37a53db0b4b562770de45be0bc9a51e4c4f")
 
 
+def test_a_sidecar_that_contains_itself_is_a_value_error():
+    data = render_sidecar(psi_function())
+    data["function"]["self"] = data
+    with pytest.raises(ValueError, match="contains itself"):
+        sidecar_to_json(data)
+
+
 def test_northeast_limit_cone_separates_the_pair():
     assert 'data-vertex="(3/8, 3/8)"' in render_svg(psi_function())
     assert 'data-vertex="(3/8, 3/8)"' not in render_svg(psi_prime_function())

@@ -44,7 +44,7 @@ def test_public_names_are_pinned():
 _STORE_FIELDS = {"_faces_x", "_faces_k", "_intervals", "_points", "_triples",
                  "_proj", "_starts", "_verts", "_values", "_value_rows",
                  "_point_ranks", "_interval_ranks", "_faces", "_kind",
-                 "_slack_sides", "_status"}
+                 "_kind_starts", "_codes", "_slacks", "_status"}
 
 
 def test_only_the_analysis_reads_its_private_fields():
